@@ -53,26 +53,32 @@ __all__ = [
     "q_power_limit",
 ]
 
-ONE_MINUS_INV_N = "one-minus-inv-n"
-ONE_MINUS_INV_SQRT_N = "one-minus-inv-sqrt-n"
-CUSTOM = "custom"
-
-
 @dataclass(frozen=True)
 class QSequence:
-    """Produces the deformation parameter q_n for each table row."""
+    """Produces the deformation parameter q_n = fn(n, backend) for each table row."""
 
-    kind: str
     label: str
-    _fn: Callable[[int, Backend], Scalar] | None = None
+    fn: Callable[[int, Backend], Scalar]
 
     @classmethod
     def one_minus_inv_n(cls) -> "QSequence":
-        return cls(ONE_MINUS_INV_N, ONE_MINUS_INV_N)
+        def fn(n: int, backend: Backend) -> Scalar:
+            if backend is Backend.EXACT:
+                return Scalar.exact(Fraction(n - 1, n))
+            return Scalar.floating(1.0 - 1.0 / n)
+
+        return cls("one-minus-inv-n", fn)
 
     @classmethod
     def one_minus_inv_sqrt_n(cls) -> "QSequence":
-        return cls(ONE_MINUS_INV_SQRT_N, ONE_MINUS_INV_SQRT_N)
+        def fn(n: int, backend: Backend) -> Scalar:
+            if backend is not Backend.FLOAT:
+                raise BackendMismatchError(
+                    "1 - 1/sqrt(n) is irrational; use the float backend"
+                )
+            return Scalar.floating(1.0 - 1.0 / math.sqrt(n))
+
+        return cls("one-minus-inv-sqrt-n", fn)
 
     @classmethod
     def power_decay(cls, p: int) -> "QSequence":
@@ -85,31 +91,16 @@ class QSequence:
                 return Scalar.exact(Fraction(n ** p - 1, n ** p))
             return Scalar.floating(1.0 - float(n) ** -p)
 
-        return cls(CUSTOM, f"one-minus-inv-n^{p}", fn)
+        return cls(f"one-minus-inv-n^{p}", fn)
 
     @classmethod
-    def custom(cls, fn: Callable[[int, Backend], Scalar], label: str = CUSTOM) -> "QSequence":
-        return cls(CUSTOM, label, fn)
+    def custom(cls, fn: Callable[[int, Backend], Scalar], label: str = "custom") -> "QSequence":
+        return cls(label, fn)
 
     def value(self, n: int, backend: Backend = Backend.EXACT) -> Scalar:
         if n < 2:
             raise DomainError("q sequences need n >= 2 to satisfy 0 < q_n < 1")
-        if self.kind == ONE_MINUS_INV_N:
-            q = (
-                Scalar.exact(Fraction(n - 1, n))
-                if backend is Backend.EXACT
-                else Scalar.floating(1.0 - 1.0 / n)
-            )
-        elif self.kind == ONE_MINUS_INV_SQRT_N:
-            if backend is not Backend.FLOAT:
-                raise BackendMismatchError(
-                    "1 - 1/sqrt(n) is irrational; use the float backend"
-                )
-            q = Scalar.floating(1.0 - 1.0 / math.sqrt(n))
-        elif self.kind == CUSTOM:
-            q = self._fn(n, backend)
-        else:
-            raise DomainError(f"unknown q-sequence kind {self.kind!r}")
+        q = self.fn(n, backend)
         if not (0 < q.value < 1):
             raise DomainError(f"q sequence left (0, 1) at n={n}: {q}")
         return q

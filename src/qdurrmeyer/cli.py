@@ -31,7 +31,7 @@ from .moments import (
     recurrence_reports,
     stancu_moment,
 )
-from .operators import OperatorSpec, stancu_apply
+from .operators import OperatorSpec, check_stancu_parameters, stancu_apply
 from .polyalg import Polynomial
 from .qcore import BUILTIN_NAMES, Backend, FunctionSpec, QContext, Scalar
 from .verify import build_report
@@ -59,6 +59,8 @@ def build_function(name: str, backend: Backend) -> FunctionSpec:
         return FunctionSpec.polynomial(
             [Scalar(c, backend) for c in _POLY_FUNCTIONS[name]]
         )
+    if backend is not Backend.FLOAT:
+        raise UsageError(f"function {name!r} needs --backend float")
     return FunctionSpec.builtin(name)
 
 
@@ -71,7 +73,7 @@ def _parse_scalar(text: str, backend: Backend) -> Scalar:
         value = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"cannot parse number {text!r}: {exc}") from None
-    return Scalar.exact(value) if backend is Backend.EXACT else Scalar.floating(float(value))
+    return Scalar(value, backend)
 
 
 def _parse_grid(text: str, backend: Backend) -> list[Scalar]:
@@ -91,9 +93,7 @@ def _parse_grid(text: str, backend: Backend) -> list[Scalar]:
     else:
         h = (b - a) / (steps - 1)
         values = [a + i * h for i in range(steps)]
-    if backend is Backend.EXACT:
-        return [Scalar.exact(v) for v in values]
-    return [Scalar.floating(float(v)) for v in values]
+    return [Scalar(v, backend) for v in values]
 
 
 def _parse_n_list(text: str) -> list[int]:
@@ -155,18 +155,7 @@ class RunConfig:
         return flat
 
 
-def _emit(cfg: RunConfig, header: Sequence[str], rows: list[list[str]], verdict: str) -> None:
-    if cfg.fmt == "csv":
-        lines = [",".join(header)]
-        lines.extend(",".join(row) for row in rows)
-        text = "\n".join(lines) + "\n"
-    else:
-        payload = {
-            "config": cfg.dump(),
-            "rows": [dict(zip(header, row)) for row in rows],
-            "verdict": verdict,
-        }
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+def _write(cfg: RunConfig, text: str) -> None:
     if cfg.out:
         with open(cfg.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
@@ -174,75 +163,69 @@ def _emit(cfg: RunConfig, header: Sequence[str], rows: list[list[str]], verdict:
         sys.stdout.write(text)
 
 
+def _json_text(payload: dict) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def _emit(cfg: RunConfig, header: Sequence[str], rows: list[list[str]], verdict: str) -> None:
+    if cfg.fmt == "csv":
+        lines = [",".join(header)]
+        lines.extend(",".join(row) for row in rows)
+        text = "\n".join(lines) + "\n"
+    else:
+        text = _json_text({
+            "config": cfg.dump(),
+            "rows": [dict(zip(header, row)) for row in rows],
+            "verdict": verdict,
+        })
+    _write(cfg, text)
+
+
 # -- commands -----------------------------------------------------------------
 
 
-def _cmd_moments(cfg: RunConfig) -> int:
-    ctx = cfg.options["ctx"]
-    n, m_max = cfg.options["n"], cfg.options["m_max"]
-    rows, all_agree = [], True
-    rec = recurrence_reports(n, m_max, ctx)
-    for m in range(m_max + 1):
-        brute = raw_moment_brute(n, m, ctx)
-        routes = [("brute", brute), (rec[m].route, rec[m].value)]
-        if m <= 4:
-            routes.insert(0, ("closed", raw_moment_closed(n, m, ctx)))
-        agree = all(
-            _polys_agree(value, brute, cfg.backend, cfg.options["tol"])
-            for _, value in routes
-        )
-        all_agree &= agree
-        for route, value in routes:
-            rows.append(
-                [
-                    str(m),
-                    route,
-                    "|".join(_scalar_cell(c) for c in value.coeffs) or "0",
-                    "true" if agree else "false",
-                ]
-            )
-    verdict = "pass" if all_agree else "fail"
-    _emit(cfg, ["m", "route", "coefficients", "agree"], rows, verdict)
-    return EXIT_OK if all_agree else EXIT_DISAGREEMENT
+def _raw_routes(n: int, m: int, ctx: QContext, opts: dict):
+    rec = recurrence_reports(n, opts["m_max"], ctx)[m]
+    brute = raw_moment_brute(n, m, ctx)
+    routes = [("brute", brute), (rec.route, rec.value)]
+    if m <= 4:
+        routes.insert(0, ("closed", raw_moment_closed(n, m, ctx)))
+    return brute, routes
 
 
-def _cmd_central_moments(cfg: RunConfig) -> int:
-    ctx = cfg.options["ctx"]
-    n, m_max = cfg.options["n"], cfg.options["m_max"]
-    rows, all_agree = [], True
-    for m in range(1, m_max + 1):
-        expansion = central_moment(n, m, ctx, "expansion")
-        closed = central_moment(n, m, ctx, "closed")
-        agree = _polys_agree(closed, expansion, cfg.backend, cfg.options["tol"])
-        all_agree &= agree
-        for route, value in (("closed", closed), ("expansion", expansion)):
-            rows.append(
-                [
-                    str(m),
-                    route,
-                    "|".join(_scalar_cell(c) for c in value.coeffs) or "0",
-                    "true" if agree else "false",
-                ]
-            )
-    verdict = "pass" if all_agree else "fail"
-    _emit(cfg, ["m", "route", "coefficients", "agree"], rows, verdict)
-    return EXIT_OK if all_agree else EXIT_DISAGREEMENT
+def _central_routes(n: int, m: int, ctx: QContext, opts: dict):
+    expansion = central_moment(n, m, ctx, "expansion")
+    return expansion, [("closed", central_moment(n, m, ctx, "closed")), ("expansion", expansion)]
 
 
-def _cmd_stancu_moments(cfg: RunConfig) -> int:
-    ctx = cfg.options["ctx"]
-    n, m_max = cfg.options["n"], cfg.options["m_max"]
-    alpha, beta = cfg.options["alpha"], cfg.options["beta"]
+def _stancu_routes(n: int, m: int, ctx: QContext, opts: dict):
+    alpha, beta = opts["alpha"], opts["beta"]
+    recursion = stancu_moment(n, m, ctx, alpha, beta)
+    routes = [("recursion", recursion)]
+    if m <= 2:
+        routes.append(("closed", stancu_moment(n, m, ctx, alpha, beta, route="closed")))
     spec = OperatorSpec.stancu(n, ctx, alpha, beta)
+    routes.append(("direct", stancu_apply(spec, Polynomial.monomial(m, ctx.backend))))
+    return recursion, routes
+
+
+# command -> (help, first m, builder of (reference value, [(route, value), ...]) at m)
+_MOMENT_TABLES = {
+    "moments": ("raw moments via all routes", 0, _raw_routes),
+    "central-moments": ("central moments via both routes", 1, _central_routes),
+    "stancu-moments": ("Stancu moments: recursion, closed, direct", 0, _stancu_routes),
+}
+
+
+def _cmd_moment_table(cfg: RunConfig) -> int:
+    """One row per (m, route); a route agrees when it matches the reference."""
+    _, first_m, routes_at = _MOMENT_TABLES[cfg.command]
+    opts = cfg.options
     rows, all_agree = [], True
-    for m in range(m_max + 1):
-        recursion = stancu_moment(n, m, ctx, alpha, beta)
-        routes = [("recursion", recursion)]
-        if m <= 2:
-            routes.append(("closed", stancu_moment(n, m, ctx, alpha, beta, route="closed")))
-        routes.append(("direct", stancu_apply(spec, Polynomial.monomial(m, ctx.backend))))
+    for m in range(first_m, opts["m_max"] + 1):
+        reference, routes = routes_at(opts["n"], m, opts["ctx"], opts)
         agree = all(
-            _polys_agree(value, recursion, cfg.backend, cfg.options["tol"])
+            _polys_agree(value, reference, cfg.backend, opts["tol"])
             for _, value in routes
         )
         all_agree &= agree
@@ -337,16 +320,17 @@ def _cmd_remainder(cfg: RunConfig) -> int:
 def _cmd_verify(cfg: RunConfig) -> int:
     report = build_report(n_max=cfg.options["n_max"])
     report["config"].update({"command": "verify", "format": "json"})
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(cfg, _json_text(report))
     return EXIT_OK if report["verdict"] == "pass" else EXIT_DISAGREEMENT
 
 
 # -- argument parsing ----------------------------------------------------------
+
+_Q_SEQUENCES = {
+    "one-minus-inv-n": QSequence.one_minus_inv_n,
+    "one-minus-inv-sqrt-n": QSequence.one_minus_inv_sqrt_n,
+    "one-minus-inv-n-squared": lambda: QSequence.power_decay(2),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -367,22 +351,14 @@ def _build_parser() -> argparse.ArgumentParser:
                 help="route-agreement tolerance on the float backend",
             )
 
-    p = sub.add_parser("moments", help="raw moments via all routes")
-    common(p)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m-max", type=int, default=4)
-
-    p = sub.add_parser("central-moments", help="central moments via both routes")
-    common(p)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m-max", type=int, default=4)
-
-    p = sub.add_parser("stancu-moments", help="Stancu moments: recursion, closed, direct")
-    common(p)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m-max", type=int, default=4)
-    p.add_argument("--alpha", default="0")
-    p.add_argument("--beta", default="0")
+    for name, (help_text, _, _) in _MOMENT_TABLES.items():
+        p = sub.add_parser(name, help=help_text)
+        common(p)
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--m-max", type=int, default=4)
+        if name == "stancu-moments":
+            p.add_argument("--alpha", default="0")
+            p.add_argument("--beta", default="0")
 
     p = sub.add_parser("voronovskaja", help="scaled-deviation convergence table")
     common(p, q_flag=False)
@@ -390,11 +366,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", help="single interior point, e.g. 0.3")
     p.add_argument("--x-grid", help="grid a:b:steps inside (0,1)")
     p.add_argument("--n-list", default="8,16,32,64,128,256,512")
-    p.add_argument(
-        "--q-seq",
-        choices=["one-minus-inv-n", "one-minus-inv-sqrt-n", "one-minus-inv-n-squared"],
-        default="one-minus-inv-n",
-    )
+    p.add_argument("--q-seq", choices=list(_Q_SEQUENCES), default="one-minus-inv-n")
     p.add_argument("--variant", choices=["plain", "stancu"], default="plain")
     p.add_argument("--alpha")
     p.add_argument("--beta")
@@ -415,13 +387,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_Q_SEQUENCES = {
-    "one-minus-inv-n": QSequence.one_minus_inv_n,
-    "one-minus-inv-sqrt-n": QSequence.one_minus_inv_sqrt_n,
-    "one-minus-inv-n-squared": lambda: QSequence.power_decay(2),
-}
-
-
 def _build_config(args) -> RunConfig:
     backend = Backend(getattr(args, "backend", "exact"))
     cfg = RunConfig(
@@ -431,13 +396,11 @@ def _build_config(args) -> RunConfig:
         out=getattr(args, "out", None),
     )
     opts = cfg.options
-    if args.command in ("moments", "central-moments", "stancu-moments", "remainder"):
+    if args.command in (*_MOMENT_TABLES, "remainder"):
         q = _parse_scalar(args.q, backend)
-        if not (0 < q.value < 1):
-            raise UsageError("q must satisfy 0 < q < 1")
         opts["ctx"] = QContext(q)
         opts["q"] = q
-    if args.command in ("moments", "central-moments", "stancu-moments"):
+    if args.command in _MOMENT_TABLES:
         if args.tol <= 0:
             raise UsageError("tol must be positive")
         opts["tol"] = args.tol
@@ -451,14 +414,10 @@ def _build_config(args) -> RunConfig:
     if args.command == "stancu-moments":
         alpha = _parse_scalar(args.alpha, backend)
         beta = _parse_scalar(args.beta, backend)
-        if not (0 <= alpha.value <= beta.value):
-            raise UsageError("need 0 <= alpha <= beta")
+        check_stancu_parameters(alpha, beta, backend)
         opts["alpha"], opts["beta"] = alpha, beta
     if args.command == "voronovskaja":
-        f = build_function(args.f, backend)
-        if f.backend is Backend.FLOAT and backend is not Backend.FLOAT:
-            raise UsageError(f"function {args.f!r} needs --backend float")
-        opts["f"] = f
+        opts["f"] = build_function(args.f, backend)
         if args.x and args.x_grid:
             raise UsageError("give either --x or --x-grid, not both")
         if args.x_grid:
@@ -479,21 +438,21 @@ def _build_config(args) -> RunConfig:
                 raise UsageError("stancu variant needs --alpha and --beta")
             alpha = _parse_scalar(args.alpha, backend)
             beta = _parse_scalar(args.beta, backend)
-            if not (0 <= alpha.value <= beta.value):
-                raise UsageError("need 0 <= alpha <= beta")
+            check_stancu_parameters(alpha, beta, backend)
             opts["alpha"], opts["beta"] = alpha, beta
         elif args.alpha is not None or args.beta is not None:
             raise UsageError("--alpha/--beta only apply to the stancu variant")
         if args.rtol <= 0 or args.floor < 0:
             raise UsageError("rtol must be positive and floor nonnegative")
         opts["rtol"], opts["floor"] = args.rtol, args.floor
+        if args.tol is not None and args.tol <= 0:
+            raise UsageError("tol must be positive")
+        if args.max_terms is not None and args.max_terms < 1:
+            raise UsageError("max-terms must be >= 1")
         opts["tol"], opts["max_terms"] = args.tol, args.max_terms
         opts["q_seq"] = args.q_seq
     if args.command == "remainder":
-        f = build_function(args.f, backend)
-        if f.backend is Backend.FLOAT and backend is not Backend.FLOAT:
-            raise UsageError(f"function {args.f!r} needs --backend float")
-        opts["f"] = f
+        opts["f"] = build_function(args.f, backend)
         x = _parse_scalar(args.x, backend)
         if not (0 < x.value < 1):
             raise UsageError("x must lie strictly inside (0, 1)")
@@ -510,9 +469,7 @@ def _build_config(args) -> RunConfig:
 
 
 _COMMANDS = {
-    "moments": _cmd_moments,
-    "central-moments": _cmd_central_moments,
-    "stancu-moments": _cmd_stancu_moments,
+    **dict.fromkeys(_MOMENT_TABLES, _cmd_moment_table),
     "voronovskaja": _cmd_voronovskaja,
     "remainder": _cmd_remainder,
     "verify": _cmd_verify,

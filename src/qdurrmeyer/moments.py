@@ -25,13 +25,13 @@ identity without failing any suite.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
 
 from .errors import DomainError
-from .operators import OperatorSpec, durrmeyer_apply_poly
+from .operators import OperatorSpec, check_stancu_parameters, durrmeyer_apply_poly
 from .polyalg import BivariateExpansion, Polynomial
 from .qcore import QContext, Scalar
 
@@ -110,10 +110,27 @@ def _q_weights(ctx: QContext, coeffs: Sequence[int]) -> Scalar:
     return out
 
 
+def _memo_on_context(fn):
+    """Memoize fn(n, m, ctx) in ctx.memo, so each entry is freed with ctx.
+
+    Repeated calls with one context return the identical object.
+    """
+
+    @functools.wraps(fn)
+    def memoized(n: int, m: int, ctx: QContext):
+        key = (fn.__name__, n, m)
+        try:
+            return ctx.memo[key]
+        except KeyError:
+            return ctx.memo.setdefault(key, fn(n, m, ctx))
+
+    return memoized
+
+
 # -- raw moments ---------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@_memo_on_context
 def raw_moment_brute(n: int, m: int, ctx: QContext) -> Polynomial:
     """Direct kernel sum through exact q-Beta values; oracle for all routes."""
     _validate_nm(n, m)
@@ -128,7 +145,7 @@ def raw_moment_brute(n: int, m: int, ctx: QContext) -> Polynomial:
     return image
 
 
-@lru_cache(maxsize=None)
+@_memo_on_context
 def raw_moment_closed(n: int, m: int, ctx: QContext) -> Polynomial:
     """Closed-form moment tables for m <= 4, corrected where misprinted.
 
@@ -189,7 +206,7 @@ def _recurrence_step(n: int, m: int, current: Polynomial, ctx: QContext) -> Poly
     return out
 
 
-@lru_cache(maxsize=None)
+@_memo_on_context
 def recurrence_reports(n: int, m_max: int, ctx: QContext) -> tuple[MomentReport, ...]:
     """Moments 0..m_max via the recurrence, with brute fill outside the guard."""
     _validate_nm(n, m_max)
@@ -287,13 +304,6 @@ def central_moment(n: int, m: int, ctx: QContext, route: str = ROUTE_EXPANSION) 
 # -- Stancu moments ---------------------------------------------------------------
 
 
-def _validate_stancu(ctx: QContext, alpha: Scalar, beta: Scalar):
-    if alpha.backend is not ctx.backend or beta.backend is not ctx.backend:
-        raise DomainError("alpha/beta backend must match the context")
-    if not (0 <= alpha.value and alpha.value <= beta.value):
-        raise DomainError("stancu parameters need 0 <= alpha <= beta")
-
-
 def stancu_moment(
     n: int,
     m: int,
@@ -314,7 +324,7 @@ def stancu_moment(
     m <= 2; it agrees with the recursion exactly.
     """
     _validate_nm(n, m)
-    _validate_stancu(ctx, alpha, beta)
+    check_stancu_parameters(alpha, beta, ctx.backend)
     if route == ROUTE_STANCU_RECURSION:
         raw = raw_moment_closed if raw_route == ROUTE_CLOSED else raw_moment_brute
         qn = ctx.q_int(n)
@@ -366,7 +376,7 @@ def stancu_central_moment(
     is kept only for the transcription audit.
     """
     _validate_nm(n, m)
-    _validate_stancu(ctx, alpha, beta)
+    check_stancu_parameters(alpha, beta, ctx.backend)
     if route == ROUTE_RECOMBINATION:
         total = Polynomial.zero(ctx.backend)
         for j in range(m + 1):
@@ -572,32 +582,19 @@ def transcription_audit(
             )
             pairs.append((f"q={ctx.q}", stated, central_factor_expand(m, ctx)))
         entries.append(_audit_compare(f"central-factor-m{m}-transcription", pairs))
-    for m in (1, 2):
-        pairs = []
-        for ctx in ctxs:
-            for n in n_values:
-                for a, b in stancu_params:
-                    alpha, beta = ctx.scalar(a), ctx.scalar(b)
-                    pairs.append(
-                        (
-                            f"n={n} q={ctx.q} alpha={a} beta={b}",
-                            stancu_moment(n, m, ctx, alpha, beta, route=ROUTE_CLOSED),
-                            stancu_moment(n, m, ctx, alpha, beta),
+    for key, stancu_fn in (("lemma-l1", stancu_moment), ("lemma-l4", stancu_central_moment)):
+        for m in (1, 2):
+            pairs = []
+            for ctx in ctxs:
+                for n in n_values:
+                    for a, b in stancu_params:
+                        alpha, beta = ctx.scalar(a), ctx.scalar(b)
+                        pairs.append(
+                            (
+                                f"n={n} q={ctx.q} alpha={a} beta={b}",
+                                stancu_fn(n, m, ctx, alpha, beta, route=ROUTE_CLOSED),
+                                stancu_fn(n, m, ctx, alpha, beta),
+                            )
                         )
-                    )
-        entries.append(_audit_compare(f"lemma-l1-m{m}-transcription", pairs))
-    for m in (1, 2):
-        pairs = []
-        for ctx in ctxs:
-            for n in n_values:
-                for a, b in stancu_params:
-                    alpha, beta = ctx.scalar(a), ctx.scalar(b)
-                    pairs.append(
-                        (
-                            f"n={n} q={ctx.q} alpha={a} beta={b}",
-                            stancu_central_moment(n, m, ctx, alpha, beta, route=ROUTE_CLOSED),
-                            stancu_central_moment(n, m, ctx, alpha, beta),
-                        )
-                    )
-        entries.append(_audit_compare(f"lemma-l4-m{m}-transcription", pairs))
+            entries.append(_audit_compare(f"{key}-m{m}-transcription", pairs))
     return entries

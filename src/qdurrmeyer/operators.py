@@ -38,6 +38,7 @@ __all__ = [
     "STANCU",
     "CLASSICAL",
     "OperatorSpec",
+    "check_stancu_parameters",
     "bernstein_basis",
     "basis_polynomial",
     "kernel_mass",
@@ -50,6 +51,14 @@ __all__ = [
 PLAIN = "plain"
 STANCU = "stancu"
 CLASSICAL = "classical"
+
+
+def check_stancu_parameters(alpha: Scalar, beta: Scalar, backend: Backend) -> None:
+    """Require alpha and beta on `backend` with 0 <= alpha <= beta."""
+    if alpha.backend is not backend or beta.backend is not backend:
+        raise BackendMismatchError("alpha/beta backend must match the context")
+    if not (0 <= alpha.value and alpha.value <= beta.value):
+        raise DomainError("stancu parameters need 0 <= alpha <= beta")
 
 
 @dataclass(frozen=True)
@@ -75,10 +84,7 @@ class OperatorSpec:
         if self.variant == STANCU:
             if self.alpha is None or self.beta is None:
                 raise DomainError("stancu variant needs alpha and beta")
-            if self.alpha.backend is not self.ctx.backend or self.beta.backend is not self.ctx.backend:
-                raise BackendMismatchError("alpha/beta backend must match the context")
-            if not (0 <= self.alpha.value and self.alpha.value <= self.beta.value):
-                raise DomainError("stancu parameters need 0 <= alpha <= beta")
+            check_stancu_parameters(self.alpha, self.beta, self.ctx.backend)
         elif self.alpha is not None or self.beta is not None:
             raise DomainError("alpha/beta are only meaningful for the stancu variant")
 

@@ -11,16 +11,9 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import BackendMismatchError, DomainError
-from .qcore import Backend, FunctionSpec, QContext, Scalar
+from .qcore import Backend, FunctionSpec, QContext, Scalar, horner
 
-__all__ = [
-    "Polynomial",
-    "BivariateExpansion",
-    "poly_arith",
-    "poly_eval",
-    "poly_q_derivative",
-    "poly_compose_affine",
-]
+__all__ = ["Polynomial", "BivariateExpansion"]
 
 _NEG_INF = float("-inf")
 
@@ -152,10 +145,7 @@ class Polynomial:
     def eval(self, x: Scalar) -> Scalar:
         if x.backend is not self.backend:
             raise BackendMismatchError("evaluation point backend differs")
-        acc = Scalar.zero(self.backend)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        return horner(self.coeffs, x)
 
     __call__ = eval
 
@@ -240,10 +230,7 @@ class BivariateExpansion:
         return Polynomial.zero(self.backend)
 
     def eval(self, t: Scalar, x: Scalar) -> Scalar:
-        acc = Scalar.zero(self.backend)
-        for p in reversed(self.t_coeffs):
-            acc = acc * t + p.eval(x)
-        return acc
+        return horner([p.eval(x) for p in self.t_coeffs], t)
 
     def contract(self, images: Sequence[Polynomial]) -> Polynomial:
         """Substitute x-polynomials for the powers of t: sum_j c_j(x) * images[j]."""
@@ -265,27 +252,3 @@ class BivariateExpansion:
     def __repr__(self):
         return f"BivariateExpansion(t_degree={self.t_degree})"
 
-
-# -- spec-facing operation names ------------------------------------------------
-
-
-def poly_arith(a: Polynomial, b: Polynomial, op: str) -> Polynomial:
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    raise DomainError(f"unknown polynomial op {op!r}")
-
-
-def poly_eval(p: Polynomial, x: Scalar) -> Scalar:
-    return p.eval(x)
-
-
-def poly_q_derivative(p: Polynomial, ctx: QContext) -> Polynomial:
-    return p.q_derivative(ctx)
-
-
-def poly_compose_affine(p: Polynomial, a: Scalar, b: Scalar) -> Polynomial:
-    return p.compose_affine(a, b)

@@ -40,6 +40,7 @@ __all__ = [
     "q_binomial",
     "q_pochhammer_one_minus",
     "q_derivative",
+    "horner",
     "jackson_integral",
     "jackson_series",
     "q_beta",
@@ -218,32 +219,32 @@ class Scalar:
 
 
 class QContext:
-    """The deformation parameter q plus cached q-integer tables.
+    """The deformation parameter q plus the caches that depend on it.
 
     Requires 0 < q < 1 strictly.  The distinguished `classical()` context
     carries q = 1 and is accepted only by the classical evaluator.  Contexts
-    are immutable after construction and hash by identity, so any cache
-    keyed on a context can never mix values computed for different q.
-    Cache growth is append-only under the GIL, which makes sharing a context
-    across parallel workers safe.
+    are immutable after construction and hash by identity.  Each context
+    owns its q-integer tables and a `memo` dict of moment results keyed by
+    (function name, n, m); both are freed with the context, so values
+    computed for different q never mix and a sweep that drops its contexts
+    does not accumulate them.  Cache growth is append-only under the GIL,
+    which makes sharing a context across parallel workers safe.
     """
 
-    __slots__ = ("q", "n_max_hint", "backend", "is_classical", "_qint", "_qfact", "_qpow")
+    __slots__ = ("q", "backend", "is_classical", "memo", "_qint", "_qfact", "_qpow")
 
-    def __init__(self, q: Scalar, n_max_hint: int = 64, _classical: bool = False):
+    def __init__(self, q: Scalar, _classical: bool = False):
         if not isinstance(q, Scalar):
             raise TypeError("q must be a Scalar")
-        if n_max_hint < 1:
-            raise DomainError("n_max_hint must be positive")
         if _classical:
             if q != 1:
                 raise DomainError("classical context requires q = 1")
         elif not (0 < q.value < 1):
             raise DomainError("q must satisfy 0 < q < 1")
         object.__setattr__(self, "q", q)
-        object.__setattr__(self, "n_max_hint", n_max_hint)
         object.__setattr__(self, "backend", q.backend)
         object.__setattr__(self, "is_classical", _classical)
+        object.__setattr__(self, "memo", {})
         one = Scalar.one(q.backend)
         object.__setattr__(self, "_qint", [Scalar.zero(q.backend), one])
         object.__setattr__(self, "_qfact", [one, one])
@@ -253,16 +254,16 @@ class QContext:
         raise AttributeError("QContext is immutable")
 
     @classmethod
-    def exact(cls, numerator, denominator=1, n_max_hint: int = 64) -> "QContext":
-        return cls(Scalar.exact(numerator, denominator), n_max_hint)
+    def exact(cls, numerator, denominator=1) -> "QContext":
+        return cls(Scalar.exact(numerator, denominator))
 
     @classmethod
-    def floating(cls, value, n_max_hint: int = 64) -> "QContext":
-        return cls(Scalar.floating(value), n_max_hint)
+    def floating(cls, value) -> "QContext":
+        return cls(Scalar.floating(value))
 
     @classmethod
-    def classical(cls, n_max_hint: int = 64) -> "QContext":
-        return cls(Scalar.exact(1), n_max_hint, _classical=True)
+    def classical(cls) -> "QContext":
+        return cls(Scalar.exact(1), _classical=True)
 
     @property
     def zero(self) -> Scalar:
@@ -346,6 +347,14 @@ def q_pochhammer_one_minus(x: Scalar, m: int, ctx: QContext) -> Scalar:
             return ctx.zero
         out = out * factor
     return out
+
+
+def horner(coeffs: Sequence[Scalar], x: Scalar) -> Scalar:
+    """sum_i coeffs[i] x^i by Horner's rule; zero in x's backend when empty."""
+    acc = Scalar.zero(x.backend)
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
 
 
 def q_beta(a: int, b: int, ctx: QContext) -> Scalar:
@@ -473,10 +482,7 @@ class FunctionSpec:
         if not (0 <= x.value <= 1):
             raise DomainError(f"function domain is [0, 1], got {x}")
         if self.is_polynomial:
-            acc = Scalar.zero(x.backend)
-            for c in reversed(self.coeffs):
-                acc = acc * x + c
-            return acc
+            return horner(self.coeffs, x)
         if self.kind == self.BUILTIN:
             if x.backend is not Backend.FLOAT:
                 raise BackendMismatchError(
@@ -499,10 +505,7 @@ class FunctionSpec:
                 coeffs = [coeffs[m] * m for m in range(1, len(coeffs))] or [
                     Scalar.zero(x.backend)
                 ]
-            acc = Scalar.zero(x.backend)
-            for c in reversed(coeffs):
-                acc = acc * x + c
-            return acc
+            return horner(coeffs, x)
         if self.kind == self.BUILTIN:
             if x.backend is not Backend.FLOAT:
                 raise BackendMismatchError("builtin derivatives need the float backend")
@@ -522,11 +525,6 @@ class FunctionSpec:
 # -- q-derivative ---------------------------------------------------------------
 
 
-def _poly_q_derivative_coeffs(coeffs, ctx: QContext):
-    """Coefficient rule: D_q(x^m) = [m]_q x^(m-1)."""
-    return [ctx.q_int(m) * coeffs[m] for m in range(1, len(coeffs))]
-
-
 def q_derivative(f: FunctionSpec, x: Scalar, ctx: QContext, order: int = 1) -> Scalar:
     """D_q f(x), or the iterated D_q^2 f(x) for order 2.
 
@@ -541,11 +539,9 @@ def q_derivative(f: FunctionSpec, x: Scalar, ctx: QContext, order: int = 1) -> S
     if f.is_polynomial:
         coeffs = list(f.coeffs)
         for _ in range(order):
-            coeffs = _poly_q_derivative_coeffs(coeffs, ctx) or [ctx.zero]
-        acc = ctx.zero
-        for c in reversed(coeffs):
-            acc = acc * x + c
-        return acc
+            # coefficient rule: D_q(x^m) = [m]_q x^(m-1)
+            coeffs = [ctx.q_int(m) * coeffs[m] for m in range(1, len(coeffs))] or [ctx.zero]
+        return horner(coeffs, x)
     if x.is_zero:
         raise OriginDerivativeError(
             "q-derivative at x = 0 is defined only through the polynomial rule"
@@ -576,6 +572,8 @@ def jackson_series(
         raise DomainError("Jackson integration needs 0 < q < 1")
     if max_terms is None:
         max_terms = DEFAULT_MAX_TERMS
+    if max_terms < 1:
+        raise DomainError("Jackson series needs max_terms >= 1")
     if tol is None:
         tol = ctx.scalar(Fraction(1, 10 ** 12)) if ctx.backend is Backend.EXACT else Scalar.floating(DEFAULT_TOL)
     elif not isinstance(tol, Scalar):

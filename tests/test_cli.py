@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -141,6 +142,18 @@ class TestVoronovskajaCommand:
         code, _, _ = run(capsys, "voronovskaja", "--f", "exp", "--x", "0.3")
         assert code == 2
 
+    @pytest.mark.parametrize("flag", [("--tol", "0"), ("--tol", "-1"), ("--max-terms", "0")])
+    def test_jackson_flags_validated(self, capsys, flag):
+        code, out, err = run(
+            capsys,
+            "voronovskaja",
+            "--f", "exp", "--backend", "float", "--x", "0.3", "--n-list", "4,8",
+            *flag,
+        )
+        assert code == 2
+        assert out == ""
+        assert "usage error" in err
+
     def test_exact_json_is_deterministic(self, tmp_path, capsys):
         args = [
             "voronovskaja", "--f", "t", "--x", "1/2",
@@ -184,3 +197,30 @@ class TestVerifyCommand:
         assert not rows["lemma1.1-m4-transcription"]["mandatory"]
         mandatory = [r for r in payload["rows"] if r["mandatory"]]
         assert mandatory and all(r["status"] == "pass" for r in mandatory)
+
+
+# stdout sha256 of the README examples (verify writes to stdout here instead
+# of --out), pinned so that refactors keep the output byte for byte
+README_EXAMPLES = [
+    ("moments --n 2 --q 1/2", 0,
+     "55f4682ac4ee720d0bb4aaf94b9721ad443557d4d3c00d709a591d704f2eccf5"),
+    ("central-moments --n 3 --q 1/2 --format json", 0,
+     "7057802e36b9e3828b7f90bf27967d8cb92db2e554ebf7c7d2a70b40e387658b"),
+    ("stancu-moments --n 2 --q 1/2 --alpha 1 --beta 2", 0,
+     "1847a8ff0e1534d0971ee964053cc214bebcf01e3b73bd0cfb501276fa0ad9cd"),
+    ("voronovskaja --f t2 --x 0.3 --q-seq one-minus-inv-n-squared", 0,
+     "af0ba99ac49b32181681f2494c53846fe1fad221e638f7f242c97723b17acf45"),
+    ("voronovskaja --f t2 --x 0.3", 3,
+     "246d6c5933767c4c350e74dd1fe79b3a5189a73b24b46fa64d4a5cb31dc6d424"),
+    ("remainder --f t3 --x 1/2 --q 1/2 --steps 10", 0,
+     "ad107cdd7564e21d710210d912e39d3d4126b8a1ade452f4ee1e0a434027e2c9"),
+    ("verify --n-max 8", 0,
+     "8676bbead4e60884b1c4714c2ff239b7f425a84b29b762f6921d5efe0e5a8b80"),
+]
+
+
+@pytest.mark.parametrize("command, exit_code, digest", README_EXAMPLES)
+def test_readme_example_output_is_pinned(capsys, command, exit_code, digest):
+    code, out, _ = run(capsys, *command.split())
+    assert code == exit_code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -1,3 +1,4 @@
+import gc
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from qdurrmeyer import (
     Backend,
     DomainError,
+    FunctionSpec,
     Polynomial,
     QContext,
     Scalar,
@@ -18,6 +20,7 @@ from qdurrmeyer import (
     stancu_central_moment,
     stancu_moment,
     transcription_audit,
+    voronovskaja_lhs,
 )
 from qdurrmeyer.moments import (
     MomentReport,
@@ -130,6 +133,25 @@ class TestRecurrence:
         values = raw_moment_recurrence(8, 6, ctx_half)
         for m in (5, 6):
             assert values[m] == raw_moment_brute(8, m, ctx_half)
+
+
+class TestContextMemo:
+    def test_memo_is_freed_with_its_context(self):
+        def live_contexts():
+            gc.collect()
+            return sum(1 for obj in gc.get_objects() if isinstance(obj, QContext))
+
+        f, x, q = FunctionSpec.monomial(2), Scalar.exact(3, 10), Scalar.exact(3, 4)
+        voronovskaja_lhs(f, x, 8, q)
+        before = live_contexts()
+        for _ in range(50):
+            voronovskaja_lhs(f, x, 8, q)
+        assert live_contexts() <= before
+
+    def test_repeated_calls_share_one_result(self):
+        ctx = QContext.exact(1, 3)
+        assert raw_moment_brute(3, 2, ctx) is raw_moment_brute(3, 2, ctx)
+        assert recurrence_reports(6, 4, ctx) is recurrence_reports(6, 4, ctx)
 
 
 class TestCentralFactor:

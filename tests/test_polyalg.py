@@ -12,13 +12,7 @@ from qdurrmeyer import (
     Scalar,
     q_derivative,
 )
-from qdurrmeyer.polyalg import (
-    BivariateExpansion,
-    poly_arith,
-    poly_compose_affine,
-    poly_eval,
-    poly_q_derivative,
-)
+from qdurrmeyer.polyalg import BivariateExpansion
 
 exact_coeff = st.fractions(min_value=-4, max_value=4, max_denominator=12)
 exact_poly = st.lists(exact_coeff, min_size=0, max_size=6).map(Polynomial.from_fractions)
@@ -31,38 +25,38 @@ rational_x = st.fractions(min_value=0, max_value=1, max_denominator=64)
 def test_arith_examples():
     one_plus = Polynomial.from_fractions([1, 1])
     one_minus = Polynomial.from_fractions([1, -1])
-    assert poly_arith(one_plus, one_minus, "mul") == Polynomial.from_fractions([1, 0, -1])
+    assert one_plus * one_minus == Polynomial.from_fractions([1, 0, -1])
     p = Polynomial.from_fractions([2, 0, 5])
-    assert poly_arith(p, Polynomial.zero(Backend.EXACT), "add") == p
-    assert poly_arith(
-        Polynomial.from_fractions([1, 2]), Polynomial.from_fractions([0, 0, 3]), "mul"
+    assert p + Polynomial.zero(Backend.EXACT) == p
+    assert (
+        Polynomial.from_fractions([1, 2]) * Polynomial.from_fractions([0, 0, 3])
     ) == Polynomial.from_fractions([0, 0, 3, 6])
 
 
 def test_eval_examples():
-    assert poly_eval(Polynomial.from_fractions([1, 0, 1]), Scalar.exact(1, 2)) == Fraction(5, 4)
-    assert poly_eval(Polynomial.zero(Backend.EXACT), Scalar.exact(2, 3)) == 0
-    assert poly_eval(Polynomial.from_fractions([0, 0, 0, 1]), Scalar.exact(3, 4)) == Fraction(27, 64)
+    assert Polynomial.from_fractions([1, 0, 1]).eval(Scalar.exact(1, 2)) == Fraction(5, 4)
+    assert Polynomial.zero(Backend.EXACT).eval(Scalar.exact(2, 3)) == 0
+    assert Polynomial.from_fractions([0, 0, 0, 1]).eval(Scalar.exact(3, 4)) == Fraction(27, 64)
 
 
 def test_q_derivative_examples(ctx_half):
-    assert poly_q_derivative(Polynomial.from_fractions([0, 0, 1]), ctx_half) == (
+    assert Polynomial.from_fractions([0, 0, 1]).q_derivative(ctx_half) == (
         Polynomial.from_fractions([0, Fraction(3, 2)])
     )
-    assert poly_q_derivative(Polynomial.from_fractions([7]), ctx_half).is_zero
-    assert poly_q_derivative(Polynomial.from_fractions([1, 1, 0, 1]), ctx_half) == (
+    assert Polynomial.from_fractions([7]).q_derivative(ctx_half).is_zero
+    assert Polynomial.from_fractions([1, 1, 0, 1]).q_derivative(ctx_half) == (
         Polynomial.from_fractions([1, 0, Fraction(7, 4)])
     )
 
 
 def test_compose_affine_examples():
     x2 = Polynomial.from_fractions([0, 0, 1])
-    assert poly_compose_affine(x2, Scalar.exact(1), Scalar.exact(0)) == x2
+    assert x2.compose_affine(Scalar.exact(1), Scalar.exact(0)) == x2
     x1 = Polynomial.from_fractions([0, 1])
-    assert poly_compose_affine(x1, Scalar.exact(2, 3), Scalar.exact(1, 3)) == (
+    assert x1.compose_affine(Scalar.exact(2, 3), Scalar.exact(1, 3)) == (
         Polynomial.from_fractions([Fraction(1, 3), Fraction(2, 3)])
     )
-    assert poly_compose_affine(x2, Scalar.exact(1, 2), Scalar.exact(1, 2)) == (
+    assert x2.compose_affine(Scalar.exact(1, 2), Scalar.exact(1, 2)) == (
         Polynomial.from_fractions([Fraction(1, 4), Fraction(1, 2), Fraction(1, 4)])
     )
 
@@ -100,14 +94,14 @@ def test_product_degree(a, b):
 @given(p=exact_poly)
 @settings(max_examples=40, deadline=None)
 def test_identity_substitution_is_bit_identical(p):
-    assert poly_compose_affine(p, Scalar.exact(1), Scalar.exact(0)) == p
+    assert p.compose_affine(Scalar.exact(1), Scalar.exact(0)) == p
 
 
 @given(p=exact_poly, q=rational_q)
 @settings(max_examples=40, deadline=None)
 def test_q_derivative_agrees_with_difference_quotient(p, q):
     ctx = QContext.exact(q)
-    derived = poly_q_derivative(p, ctx)
+    derived = p.q_derivative(ctx)
     spec = p.as_function_spec()
     for k in range(1, 65, 7):
         x = Scalar.exact(k, 65)

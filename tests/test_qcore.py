@@ -227,6 +227,12 @@ class TestJacksonIntegral:
         with pytest.raises(BackendMismatchError):
             jackson_integral(FunctionSpec.builtin("sin"), ctx_half)
 
+    @pytest.mark.parametrize("max_terms", [0, -1])
+    def test_nonpositive_max_terms_rejected(self, max_terms):
+        ctx = QContext.floating(0.5)
+        with pytest.raises(DomainError, match="max_terms"):
+            jackson_integral(FunctionSpec.builtin("exp"), ctx, max_terms=max_terms)
+
     def test_builtin_series_value(self):
         # int_0^1 sin d_q t at q close to 1 approaches 1 - cos(1)
         ctx = QContext.floating(1 - 2.0 ** -14)
