@@ -305,6 +305,8 @@ def decay_slope(
     """Least-squares slope of log |D((t-x)_q^m; x)| against log [n]_q."""
     if len(n_list) < 2:
         raise DomainError("need at least two n values for a slope")
+    if list(n_list) != sorted(set(n_list)):
+        raise DomainError("n_list must be strictly increasing")
     xs, ys = [], []
     for n in n_list:
         q = seq.value(n, backend)

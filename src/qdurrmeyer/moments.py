@@ -2,7 +2,9 @@
 
 Routes for the raw moments D^q_{n,m}(x) = D_{n,q}(t^m; x):
 
-  brute       kernel sum with exact q-Beta integrals (the oracle)
+  brute       kernel sum with exact q-Beta integrals (the oracle); it
+              expands (1-x)_q^N by Gauss's formula, costs O(m*n) per
+              image and checks that the x^(m+1) coefficient cancels
   closed      hard-coded closed-form tables for m <= 4
   recurrence  [n+m+2]_q M_{m+1} = ([m+1]_q + q^(m+1) x [n]_q) M_m
                                    + x(1-x) q^(m+1) D_q(M_m),
@@ -135,14 +137,7 @@ def raw_moment_brute(n: int, m: int, ctx: QContext) -> Polynomial:
     """Direct kernel sum through exact q-Beta values; oracle for all routes."""
     _validate_nm(n, m)
     spec = OperatorSpec.plain(n, ctx)
-    image = durrmeyer_apply_poly(spec, Polynomial.monomial(m, ctx.backend))
-    # the image of t^m has degree min(m, n); on the float backend the
-    # kernel sum leaves roundoff residue in the coefficients that cancel
-    # exactly, so cut at the theoretical degree
-    bound = min(m, n)
-    if image.degree > bound:
-        image = Polynomial(image.coeffs[: bound + 1], ctx.backend)
-    return image
+    return durrmeyer_apply_poly(spec, Polynomial.monomial(m, ctx.backend))
 
 
 @_memo_on_context

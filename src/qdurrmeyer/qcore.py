@@ -135,11 +135,15 @@ class Scalar:
         if isinstance(other, float):
             if self.is_exact:
                 raise BackendMismatchError("cannot mix a float with an exact scalar")
-            return other
+            return float(other)
         return NotImplemented
 
     def _wrap(self, value) -> "Scalar":
-        return Scalar(value, self.backend)
+        # arithmetic on lifted values already yields a Fraction or a float
+        out = object.__new__(Scalar)
+        object.__setattr__(out, "value", value)
+        object.__setattr__(out, "backend", self.backend)
+        return out
 
     # -- arithmetic ---------------------------------------------------------
 

@@ -168,6 +168,8 @@ class TestConvergenceTable:
     def test_n_list_must_increase(self):
         with pytest.raises(DomainError):
             convergence_table(T2, X03, QSequence.one_minus_inv_n(), [8, 8])
+        with pytest.raises(DomainError):
+            decay_slope(2, Scalar.exact(1, 3), QSequence.power_decay(2), [8, 8])
 
     def test_plain_limit_along_admissible_sequence(self):
         # q_n^n -> 1 realizes the classical second-order limit 0.66

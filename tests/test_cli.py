@@ -219,8 +219,31 @@ README_EXAMPLES = [
 ]
 
 
-@pytest.mark.parametrize("command, exit_code, digest", README_EXAMPLES)
-def test_readme_example_output_is_pinned(capsys, command, exit_code, digest):
+# stdout sha256 of exact moment tables at benchmark scale, captured before the
+# kernel sum moved to Gauss's formula
+BENCHMARK_SCALE_EXAMPLES = [
+    ("moments --n 32 --q 5/16", 0,
+     "e105b036ea7382b0ebf7f1f7536619d388a304d2e4e6be9ab9d5337c6bd20394"),
+    ("moments --n 28 --q 13/16", 0,
+     "8ac011ed4b3832053f575ffddcc20168f24f8d1b43609727c112bea8aefb159e"),
+    ("central-moments --n 32 --q 13/16", 0,
+     "2ffbaf02846875c06cb86ee61bfd6399efeb814404c32feff73805c9b256b29e"),
+    ("stancu-moments --n 24 --alpha 1 --beta 2 --q 5/16", 0,
+     "b93e4af852ef527b8fa27fe9c7b03cb144feeec789adff642e4e3b224b62ecc4"),
+]
+
+
+def assert_pinned(capsys, command, exit_code, digest):
     code, out, _ = run(capsys, *command.split())
     assert code == exit_code
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("command, exit_code, digest", README_EXAMPLES)
+def test_readme_example_output_is_pinned(capsys, command, exit_code, digest):
+    assert_pinned(capsys, command, exit_code, digest)
+
+
+@pytest.mark.parametrize("command, exit_code, digest", BENCHMARK_SCALE_EXAMPLES)
+def test_benchmark_scale_output_is_pinned(capsys, command, exit_code, digest):
+    assert_pinned(capsys, command, exit_code, digest)

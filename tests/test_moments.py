@@ -9,15 +9,18 @@ from qdurrmeyer import (
     Backend,
     DomainError,
     FunctionSpec,
+    OperatorSpec,
     Polynomial,
     QContext,
     Scalar,
     central_factor_expand,
     central_moment,
+    durrmeyer_apply_poly,
     raw_moment_brute,
     raw_moment_closed,
     raw_moment_recurrence,
     stancu_central_moment,
+    stancu_apply,
     stancu_moment,
     transcription_audit,
     voronovskaja_lhs,
@@ -66,6 +69,17 @@ class TestRawMoments:
                     assert raw_moment_closed(n, m, ctx) == brute, (n, m, q)
                     assert rec[m] == brute, (n, m, q)
 
+    def test_route_agreement_at_scale(self):
+        # n > m + 2 throughout, so every recurrence step takes its main branch
+        for q in (Fraction(1, 2), Fraction(13, 16)):
+            for n in (48, 64):
+                ctx = QContext.exact(q)
+                rec = raw_moment_recurrence(n, 4, ctx)
+                for m in range(5):
+                    brute = raw_moment_brute(n, m, ctx)
+                    assert raw_moment_closed(n, m, ctx) == brute, (n, m, q)
+                    assert rec[m] == brute, (n, m, q)
+
     def test_closed_equals_brute_coefficientwise_example(self):
         ctx = QContext.exact(3, 4)
         assert raw_moment_closed(3, 4, ctx) == raw_moment_brute(3, 4, ctx)
@@ -91,11 +105,15 @@ class TestRawMoments:
         # as float residue above the theoretical degree min(m, n)
         ctx = QContext.floating(0.85)
         for n in (3, 6):
+            stancu = OperatorSpec.stancu(n, ctx, Scalar.floating(1.0), Scalar.floating(2.0))
             rec = raw_moment_recurrence(n, 4, ctx)
             for m in range(5):
                 brute = raw_moment_brute(n, m, ctx)
                 assert brute.degree <= min(m, n)
-                for poly in (raw_moment_closed(n, m, ctx), rec[m]):
+                t_m = Polynomial.monomial(m, Backend.FLOAT)
+                assert stancu_apply(stancu, t_m).degree <= min(m, n)
+                plain = durrmeyer_apply_poly(OperatorSpec.plain(n, ctx), t_m)
+                for poly in (raw_moment_closed(n, m, ctx), rec[m], plain):
                     assert poly.degree <= min(m, n)
                     worst = max(
                         abs(float(poly.coefficient(i)) - float(brute.coefficient(i)))

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -20,6 +21,7 @@ from qdurrmeyer import (
     kernel_mass,
     stancu_apply,
 )
+from qdurrmeyer import operators
 from qdurrmeyer.operators import basis_polynomial
 
 from conftest import Q_GRID, X_GRID_16
@@ -163,6 +165,48 @@ class TestDurrmeyerPolynomial:
         spec = OperatorSpec.stancu(2, ctx_half, Scalar.exact(0), Scalar.exact(0))
         with pytest.raises(UnsupportedVariantError):
             durrmeyer_apply_poly(spec, Polynomial.one(Backend.EXACT))
+
+    @staticmethod
+    def _product_expansion(n, ctx, p):
+        # sum_k w_k p_nk(x), each p_nk multiplied out from its linear factors
+        out = Polynomial.zero(Backend.EXACT)
+        for k in range(n + 1):
+            inner = sum(
+                (c * operators.q_beta(k + m + 1, n - k + 1, ctx) for m, c in enumerate(p.coeffs)),
+                ctx.zero,
+            )
+            w = ctx.q_int(n + 1) * ctx.q_binom(n, k) * inner
+            basis = Polynomial.monomial(k, Backend.EXACT, ctx.q_binom(n, k))
+            for s in range(n - k):
+                basis = basis * Polynomial((ctx.one, -ctx.q_power(s)), Backend.EXACT)
+            out = out + basis.scale(w)
+        return out
+
+    def test_matches_product_expansion(self):
+        rng = random.Random(20151)
+        for q in (Fraction(1, 2), Fraction(13, 16), Fraction(2, 7)):
+            ctx = QContext.exact(q)
+            for n in range(1, 11):
+                spec = OperatorSpec.plain(n, ctx)
+                for _ in range(2):
+                    deg = rng.randint(0, n + 2)
+                    p = Polynomial.from_fractions(
+                        [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(deg + 1)]
+                    )
+                    assert durrmeyer_apply_poly(spec, p) == self._product_expansion(n, ctx, p)
+
+    def test_cancellation_check_fires(self, ctx_half, monkeypatch):
+        # perturb only B_q(1, n+1), the k = 0 weight of p = 1, so x^1 cannot cancel
+        n = 5
+        real = operators.q_beta
+
+        def perturbed(a, b, ctx):
+            value = real(a, b, ctx)
+            return value * Fraction(1001, 1000) if (a, b) == (1, n + 1) else value
+
+        monkeypatch.setattr(operators, "q_beta", perturbed)
+        with pytest.raises(ArithmeticError):
+            durrmeyer_apply_poly(OperatorSpec.plain(n, ctx_half), Polynomial.one(Backend.EXACT))
 
 
 class TestDurrmeyerFunction:

@@ -54,6 +54,19 @@ class TestScalar:
     def test_hashable(self):
         assert len({Scalar.exact(1, 2), Scalar.exact(2, 4)}) == 1
 
+    def test_results_hold_a_plain_fraction_or_float(self):
+        class Wide(float):
+            def __radd__(self, other):
+                return Wide(float(self) + other)
+
+        x, y = Scalar.exact(1, 3), Scalar.floating(0.5)
+        for s in (x + 1, x * Fraction(2, 5), 2 - x, x / 3, 1 / x, x ** -2, -x, abs(x)):
+            assert type(s.value) is Fraction and s.backend is Backend.EXACT
+        for s in (y + Wide(0.25), y * 3, 1 / y, y ** 3, -y, abs(y)):
+            assert type(s.value) is float and s.backend is Backend.FLOAT
+        with pytest.raises(AttributeError):
+            (x + 1).value = Fraction(0)
+
 
 class TestQContext:
     def test_q_range_enforced(self):
