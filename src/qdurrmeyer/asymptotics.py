@@ -33,7 +33,7 @@ from .moments import (
     central_moment,
     raw_moment_brute,
     raw_moment_closed,
-    stancu_moment,
+    stancu_moment_at,
 )
 from .operators import PLAIN, STANCU, OperatorSpec, durrmeyer_apply_fn, stancu_apply
 from .polyalg import Polynomial
@@ -160,9 +160,7 @@ def _stancu_image_value(
             if c.is_zero:
                 continue
             raw_route = "closed" if m <= 4 else "brute"
-            total = total + c * stancu_moment(
-                n, m, ctx, alpha, beta, raw_route=raw_route
-            ).eval(x)
+            total = total + c * stancu_moment_at(n, m, ctx, alpha, beta, x, raw_route)
         return total
     spec = OperatorSpec.stancu(n, ctx, alpha, beta)
     return stancu_apply(spec, f, x, tol, max_terms)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -256,7 +257,7 @@ def _cmd_voronovskaja(cfg: RunConfig) -> int:
     variant = cfg.options["variant"]
     alpha, beta = cfg.options.get("alpha"), cfg.options.get("beta")
     rtol, floor = cfg.options["rtol"], cfg.options["floor"]
-    rows_out, worst, ok = [], None, True
+    rows_out, worst = [], None
     for x in cfg.options["x_grid"]:
         table = convergence_table(
             f, x, seq, n_list, variant, alpha, beta,
@@ -278,25 +279,24 @@ def _cmd_voronovskaja(cfg: RunConfig) -> int:
             )
         final = table[-1]
         if final.abs_err is None:
-            ok = False
-            worst = (x, final)
-            continue
-        allowed = max(rtol * abs(float(final.rhs_limit)), rtol * floor)
-        if float(final.abs_err) > allowed:
-            ok = False
-            if worst is None or float(final.abs_err) > float(worst[1].abs_err or 0):
-                worst = (x, final)
-    verdict = "pass" if ok else "fail"
+            err = math.inf  # outranks every numeric row; the first error row stays worst
+        else:
+            err = float(final.abs_err)
+            if err <= max(rtol * abs(float(final.rhs_limit)), rtol * floor):
+                continue
+        if worst is None or err > worst[0]:
+            worst = (err, x, final)
+    verdict = "pass" if worst is None else "fail"
     _emit(cfg, ["n", "q_n", "x", "lhs", "rhs_limit", "abs_err", "trend"], rows_out, verdict)
-    if not ok and worst is not None:
-        x, row = worst
-        print(
-            f"tolerance failure: worst offender x={_scalar_cell(x)} n={row.n} "
-            f"lhs={_scalar_cell(row.lhs)} rhs={_scalar_cell(row.rhs_limit)} "
-            f"abs_err={_scalar_cell(row.abs_err)}",
-            file=sys.stderr,
-        )
-    return EXIT_OK if ok else EXIT_TOLERANCE
+    if worst is None:
+        return EXIT_OK
+    _, x, row = worst
+    detail = f"error: {row.error}" if row.error is not None else (
+        f"lhs~{float(row.lhs):.6g} rhs~{float(row.rhs_limit):.6g} abs_err~{float(row.abs_err):.6g}"
+    )
+    print(f"tolerance failure: worst offender x={_scalar_cell(x)} n={row.n} {detail}",
+          file=sys.stderr)
+    return EXIT_TOLERANCE
 
 
 def _cmd_remainder(cfg: RunConfig) -> int:

@@ -48,6 +48,7 @@ __all__ = [
     "central_identity_coefficients",
     "central_moment",
     "stancu_moment",
+    "stancu_moment_at",
     "stancu_central_moment",
     "stated_raw_moment",
     "stated_central_moment",
@@ -299,6 +300,27 @@ def central_moment(n: int, m: int, ctx: QContext, route: str = ROUTE_EXPANSION) 
 # -- Stancu moments ---------------------------------------------------------------
 
 
+def _stancu_terms(n, m, ctx, alpha, beta, raw_route):
+    """Nonzero (weight, D_{n,q}(t^j; x)) pairs of the `stancu_moment` recursion."""
+    raw = raw_moment_closed if raw_route == ROUTE_CLOSED else raw_moment_brute
+    qn = ctx.q_int(n)
+    shift_m = (qn + beta) ** m
+    terms = []
+    for j in range(m + 1):
+        c = (qn ** j) * (alpha ** (m - j)) / shift_m * math.comb(m, j)
+        if not c.is_zero:
+            terms.append((c, raw(n, j, ctx)))
+    return terms
+
+
+def stancu_moment_at(n, m, ctx, alpha, beta, x: Scalar, raw_route=ROUTE_BRUTE) -> Scalar:
+    """`stancu_moment(...).eval(x)`, with each plain moment evaluated at x before weighting."""
+    _validate_nm(n, m)
+    check_stancu_parameters(alpha, beta, ctx.backend)
+    terms = _stancu_terms(n, m, ctx, alpha, beta, raw_route)
+    return sum((c * p.eval(x) for c, p in terms), ctx.zero)
+
+
 def stancu_moment(
     n: int,
     m: int,
@@ -321,16 +343,8 @@ def stancu_moment(
     _validate_nm(n, m)
     check_stancu_parameters(alpha, beta, ctx.backend)
     if route == ROUTE_STANCU_RECURSION:
-        raw = raw_moment_closed if raw_route == ROUTE_CLOSED else raw_moment_brute
-        qn = ctx.q_int(n)
-        shift = qn + beta
-        total = Polynomial.zero(ctx.backend)
-        for j in range(m + 1):
-            c = (qn ** j) * (alpha ** (m - j)) / (shift ** m) * math.comb(m, j)
-            if c.is_zero:
-                continue
-            total = total + raw(n, j, ctx).scale(c)
-        return total
+        terms = _stancu_terms(n, m, ctx, alpha, beta, raw_route)
+        return sum((p.scale(c) for c, p in terms), Polynomial.zero(ctx.backend))
     if route == ROUTE_CLOSED:
         if m > 2:
             raise DomainError("closed stancu tables stop at m = 2; use the recursion")

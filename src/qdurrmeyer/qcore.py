@@ -13,6 +13,9 @@ Conventions (Jackson / Kac-Cheung):
 Every operation is a pure function of its inputs.  Numbers are `Scalar`
 values tagged with a backend: exact rationals (no rounding, decidable
 equality) or binary floats.  The two backends never mix silently.
+
+Exact q-integers use the closed form [n]_q = (1 - q^n)/(1 - q) in integers;
+float ones keep the running sum, as the closed form cancels badly near q = 1.
 """
 
 from __future__ import annotations
@@ -233,6 +236,9 @@ class QContext:
     computed for different q never mix and a sweep that drops its contexts
     does not accumulate them.  Cache growth is append-only under the GIL,
     which makes sharing a context across parallel workers safe.
+
+    Exact `q_int(n)` is S_n / d^(n-1), S_n = (d^n - a^n)/(d - a) for q = a/d in
+    lowest terms (n when a = d), cached per index; float `q_int` is a running sum.
     """
 
     __slots__ = ("q", "backend", "is_classical", "memo", "_qint", "_qfact", "_qpow")
@@ -250,7 +256,7 @@ class QContext:
         object.__setattr__(self, "is_classical", _classical)
         object.__setattr__(self, "memo", {})
         one = Scalar.one(q.backend)
-        object.__setattr__(self, "_qint", [Scalar.zero(q.backend), one])
+        object.__setattr__(self, "_qint", {0: Scalar.zero(q.backend), 1: one})
         object.__setattr__(self, "_qfact", [one, one])
         object.__setattr__(self, "_qpow", [one, q])
 
@@ -300,8 +306,13 @@ class QContext:
         if n < 0:
             raise DomainError("q-integer index must be nonnegative")
         table = self._qint
-        while len(table) <= n:
-            table.append(table[-1] + self.q_power(len(table) - 1))
+        if n not in table and self.backend is Backend.FLOAT:
+            for k in range(len(table), n + 1):
+                table[k] = table[k - 1] + self.q_power(k - 1)
+        elif n not in table:
+            a, d = self.q.value.as_integer_ratio()
+            s = (d ** n - a ** n) // (d - a) if a != d else n
+            table[n] = Scalar.exact(s, d ** (n - 1))
         return table[n]
 
     def q_fact(self, n: int) -> Scalar:

@@ -1,12 +1,13 @@
 """The full invariant suite behind the `verify` CLI command.
 
 Mandatory checks exercise identities the library must satisfy exactly:
-q-integer recursions, Pascal rules, Jackson-vs-Beta agreement, partition
-of unity, kernel mass, route agreement for raw/central/Stancu moments,
-and the q-Taylor remainder contracts.  The transcription audit entries
-are informational: they compare the usually quoted closed forms against
-the derivation-based routes and report each as match or
-mismatch-documented without affecting the verdict.
+q-integer recursions (exact `q_int` is a closed form, so [n+1]_q = [n]_q
++ q^n checks it against the additive definition), Pascal rules,
+Jackson-vs-Beta agreement, partition of unity, kernel mass, route agreement
+for raw/central/Stancu moments, and the q-Taylor remainder contracts.  The
+transcription audit entries are informational: they compare the usually
+quoted closed forms against the derivation-based routes and report each as
+match or mismatch-documented without affecting the verdict.
 """
 
 from __future__ import annotations

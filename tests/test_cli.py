@@ -110,6 +110,34 @@ class TestVoronovskajaCommand:
         assert code == 3
         assert "worst offender" in err
 
+    def test_worst_offender_names_the_error(self, capsys):
+        code, out, err = run(
+            capsys,
+            "voronovskaja",
+            "--f", "exp", "--backend", "float", "--x-grid", "0.05:0.95:3",
+            "--q-seq", "one-minus-inv-n", "--n-list", "4", "--max-terms", "2",
+        )
+        assert code == 3
+        assert out.count("error:Jackson series did not reach") == 3
+        # the first error row stays the worst; its message is the reason
+        assert err.startswith(
+            "tolerance failure: worst offender x=0.05 n=4 "
+            "error: Jackson series did not reach tol=1e-12 within 2 terms"
+        )
+        assert "lhs" not in err
+
+    def test_worst_offender_prints_float_approximations(self, capsys):
+        code, out, err = run(
+            capsys,
+            "voronovskaja", "--f", "t2", "--x-grid", "5/128:101/128:4",
+            "--n-list", "8,16,32,64,128,256,512",
+        )
+        assert code == 3
+        assert err == (
+            "tolerance failure: worst offender x=101/128 n=512 "
+            "lhs~0.206983 rhs~-0.579468 abs_err~0.786451\n"
+        )
+
     def test_alpha_rejected_for_plain(self, capsys):
         code, _, _ = run(
             capsys, "voronovskaja", "--f", "t2", "--x", "0.3", "--alpha", "1", "--beta", "2"
@@ -219,8 +247,10 @@ README_EXAMPLES = [
 ]
 
 
-# stdout sha256 of exact moment tables at benchmark scale, captured before the
-# kernel sum moved to Gauss's formula
+# stdout sha256 of exact outputs at benchmark scale: the moment tables were
+# captured before the kernel sum moved to Gauss's formula, the voronovskaja
+# sweeps (q_n = 1 - 1/n^2 up to n = 1024) before exact q-integers moved to
+# the closed form
 BENCHMARK_SCALE_EXAMPLES = [
     ("moments --n 32 --q 5/16", 0,
      "e105b036ea7382b0ebf7f1f7536619d388a304d2e4e6be9ab9d5337c6bd20394"),
@@ -230,6 +260,18 @@ BENCHMARK_SCALE_EXAMPLES = [
      "2ffbaf02846875c06cb86ee61bfd6399efeb814404c32feff73805c9b256b29e"),
     ("stancu-moments --n 24 --alpha 1 --beta 2 --q 5/16", 0,
      "b93e4af852ef527b8fa27fe9c7b03cb144feeec789adff642e4e3b224b62ecc4"),
+    ("voronovskaja --f t4 --x 25/128 --q-seq one-minus-inv-n-squared "
+     "--n-list 8,16,32,64,128,256,512,1024", 0,
+     "7671d1a61b0446e16c0f7cf4d3d866adf2736d52f2195cac7edbd27b9b56caf6"),
+    ("voronovskaja --f t2 --x-grid 5/128:101/128:4 --q-seq one-minus-inv-n-squared "
+     "--n-list 8,16,32,64,128,256,512,1024", 0,
+     "d2245eb7a431bd8be41535676bfd50e2551f67f2baabbdc7bb614d6f57b2774e"),
+    ("voronovskaja --f t3 --x 25/128 --variant stancu --alpha 1 --beta 2 "
+     "--q-seq one-minus-inv-n-squared --n-list 8,16,32,64,128,256,512,1024", 0,
+     "d8ced9dd1c8fc538d54d5080fa59b87730d6e2ae57554f019e5b84a3047acf94"),
+    ("voronovskaja --f t2 --x 25/128 --q-seq one-minus-inv-n "
+     "--n-list 8,16,32,64,128,256,512", 3,
+     "5728e3da6f9692adf7a7d89d5e1c1a9bbd2b155babc3f134536f39d5ef3e7b17"),
 ]
 
 

@@ -32,6 +32,7 @@ from qdurrmeyer.moments import (
     stated_central_factor,
     stated_central_moment,
     stated_raw_moment,
+    stancu_moment_at,
 )
 
 from conftest import Q_GRID
@@ -288,6 +289,21 @@ class TestStancuMoments:
     def test_parameter_validation(self, ctx_half):
         with pytest.raises(DomainError):
             stancu_moment(2, 1, ctx_half, Scalar.exact(3), Scalar.exact(1))
+        with pytest.raises(DomainError):
+            stancu_moment_at(2, 1, ctx_half, Scalar.exact(3), Scalar.exact(1), Scalar.exact(1, 3))
+
+    @pytest.mark.parametrize("n", [8, 64])
+    @pytest.mark.parametrize("q", [Fraction(1, 2), Fraction(13, 16)])
+    def test_value_at_x_equals_polynomial_route(self, n, q):
+        ctx = QContext.exact(q)
+        for a, b in ((0, 0), (1, 2)):
+            alpha, beta = ctx.scalar(a), ctx.scalar(b)
+            for raw_route in ("brute", "closed"):
+                for m in range(5):
+                    poly = stancu_moment(n, m, ctx, alpha, beta, raw_route=raw_route)
+                    for x in (Scalar.exact(25, 128), Scalar.exact(2, 3)):
+                        got = stancu_moment_at(n, m, ctx, alpha, beta, x, raw_route)
+                        assert type(got.value) is Fraction and got == poly.eval(x)
 
 
 class TestStancuCentralMoments:

@@ -80,7 +80,8 @@ class TestQContext:
     def test_classical_context_is_special(self):
         ctx = QContext.classical()
         assert ctx.is_classical
-        assert ctx.q_int(7) == 7
+        for n in list(range(41)) + [257, 1025]:
+            assert ctx.q_int(n) == n
 
     def test_immutable(self, ctx_half):
         with pytest.raises(AttributeError):
@@ -94,8 +95,9 @@ class TestQInteger:
         assert q_integer(3, QContext.exact(3, 4)) == Fraction(37, 16)
 
     def test_negative_rejected(self, ctx_half):
-        with pytest.raises(DomainError):
-            q_integer(-1, ctx_half)
+        for ctx in (ctx_half, QContext.floating(0.5), QContext.classical()):
+            with pytest.raises(DomainError):
+                q_integer(-1, ctx)
 
     def test_recursion_identities(self, ctx_grid):
         # [n+1]_q = [n]_q + q^n = 1 + q [n]_q, exactly, for n <= 64
@@ -104,6 +106,35 @@ class TestQInteger:
                 step = q_integer(n + 1, ctx)
                 assert step == q_integer(n, ctx) + ctx.q_power(n)
                 assert step == ctx.one + ctx.q * q_integer(n, ctx)
+
+    # (numerator, denominator) of q; the last two are not in lowest terms
+    @pytest.mark.parametrize("num, den", [
+        (1, 2), (5, 16), (13, 16), (1023, 1024), (1048575, 1048576), (10, 32), (2046, 2048),
+    ])
+    def test_exact_closed_form_equals_running_sum(self, num, den):
+        ctx, q = QContext.exact(num, den), Fraction(num, den)
+        wanted = set(range(41)) | {257, 1025}
+        total, power = Fraction(0), Fraction(1)
+        for n in range(max(wanted) + 1):
+            if n in wanted:
+                got = ctx.q_int(n)
+                assert type(got.value) is Fraction and got.backend is Backend.EXACT
+                assert got == total
+            total, power = total + power, power * q
+
+    def test_exact_q_int_keeps_no_additive_table(self):
+        ctx = QContext.exact(1048575, 1048576)
+        ctx.q_int(1024)
+        assert len(ctx._qint) <= 3  # [0], [1] and [1024], not 1025 entries
+
+    @pytest.mark.parametrize("q", [0.5, 0.3125, 0.8125, 0.9, 1 - 2 ** -10, 1 - 2 ** -20])
+    def test_float_q_int_is_the_running_sum_bit_for_bit(self, q):
+        ctx = QContext.floating(q)
+        ctx.q_int(1025)
+        total, power = 0.0, 1.0
+        for n in range(1026):
+            assert ctx.q_int(n).value.hex() == total.hex()
+            total, power = total + power, power * q
 
     def test_limit_is_n(self):
         # along q = 1 - 2^-i the q-integer approaches n at rate O(1-q)
