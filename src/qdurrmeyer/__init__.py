@@ -52,6 +52,7 @@ from .moments import (
 from .asymptotics import (
     ConvergenceRow,
     QSequence,
+    convergence_grid,
     convergence_table,
     q_taylor_remainder,
     voronovskaja_lhs,
@@ -95,6 +96,7 @@ __all__ = [
     "transcription_audit",
     "voronovskaja_lhs",
     "voronovskaja_rhs",
+    "convergence_grid",
     "convergence_table",
     "q_taylor_remainder",
     "build_report",

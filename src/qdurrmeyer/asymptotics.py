@@ -45,9 +45,9 @@ __all__ = [
     "voronovskaja_lhs",
     "voronovskaja_rhs",
     "convergence_table",
+    "convergence_grid",
     "trend_decreasing_last_half",
     "q_taylor_remainder",
-    "central_moment_at",
     "scaled_central_moment_at",
     "decay_slope",
     "q_power_limit",
@@ -92,10 +92,6 @@ class QSequence:
             return Scalar.floating(1.0 - float(n) ** -p)
 
         return cls(f"one-minus-inv-n^{p}", fn)
-
-    @classmethod
-    def custom(cls, fn: Callable[[int, Backend], Scalar], label: str = "custom") -> "QSequence":
-        return cls(label, fn)
 
     def value(self, n: int, backend: Backend = Backend.EXACT) -> Scalar:
         if n < 2:
@@ -166,6 +162,20 @@ def _stancu_image_value(
     return stancu_apply(spec, f, x, tol, max_terms)
 
 
+def _scaled_deviation(
+    f: FunctionSpec, x: Scalar, n: int, ctx: QContext, variant, alpha, beta, tol, max_terms
+) -> Scalar:
+    if variant == PLAIN:
+        image = _plain_image_value(n, ctx, f, x, tol, max_terms)
+    elif variant == STANCU:
+        if alpha is None or beta is None:
+            raise DomainError("stancu variant needs alpha and beta")
+        image = _stancu_image_value(n, ctx, f, x, alpha, beta, tol, max_terms)
+    else:
+        raise DomainError(f"voronovskaja_lhs supports plain or stancu, not {variant!r}")
+    return ctx.q_int(n) * (image - f.evaluate(x))
+
+
 def voronovskaja_lhs(
     f: Union[FunctionSpec, Polynomial],
     x: Scalar,
@@ -177,25 +187,17 @@ def voronovskaja_lhs(
     tol=None,
     max_terms: int | None = None,
 ) -> Scalar:
-    """[n]_q (operator image of f at x, minus f(x)).
+    """[n]_q (operator image of f at x, minus f(x)), on a fresh context.
 
     Exact for polynomial f on the exact backend at any n: polynomial images
-    go through the closed moment tables rather than the kernel sum, so a
-    sweep up to n = 512 stays cheap.  Non-polynomial f uses the Jackson
-    kernel path and is meant for desk-scale n.
+    go through the closed moment tables, which reach n = 1024 and beyond.
+    Non-polynomial f uses the Jackson kernel path: each of its n + 1 series
+    needs about n^p ln(1/tol) nodes at q = 1 - n^(-p), so the default
+    max_terms caps it near n^p = 150, and its stopping rule bounds no tail.
     """
     f = _as_spec(f)
     _validate_interior(x)
-    ctx = QContext(q)
-    if variant == PLAIN:
-        image = _plain_image_value(n, ctx, f, x, tol, max_terms)
-    elif variant == STANCU:
-        if alpha is None or beta is None:
-            raise DomainError("stancu variant needs alpha and beta")
-        image = _stancu_image_value(n, ctx, f, x, alpha, beta, tol, max_terms)
-    else:
-        raise DomainError(f"voronovskaja_lhs supports plain or stancu, not {variant!r}")
-    return ctx.q_int(n) * (image - f.evaluate(x))
+    return _scaled_deviation(f, x, n, QContext(q), variant, alpha, beta, tol, max_terms)
 
 
 def voronovskaja_rhs(
@@ -231,6 +233,50 @@ def voronovskaja_rhs(
     return first * d1 + x * (one - x) * d2
 
 
+def convergence_grid(
+    f: Union[FunctionSpec, Polynomial],
+    xs: Sequence[Scalar],
+    seq: QSequence,
+    n_list: Sequence[int],
+    variant: str = PLAIN,
+    alpha: Scalar | None = None,
+    beta: Scalar | None = None,
+    tol=None,
+    max_terms: int | None = None,
+) -> list[list[ConvergenceRow]]:
+    """One convergence table per x in xs, evaluated n-major.
+
+    Each n builds one QContext for every x, so the memoized black-box kernel
+    integrals and moment tables are shared across the grid.  Row failures
+    are recorded on their row; rows carry err_decreased against the row
+    before them for the same x.
+    """
+    f = _as_spec(f)
+    for x in xs:
+        _validate_interior(x)
+    if list(n_list) != sorted(set(n_list)):
+        raise DomainError("n_list must be strictly increasing")
+    rhs = [voronovskaja_rhs(f, x, variant, alpha, beta) for x in xs]
+    tables: list[list[ConvergenceRow]] = [[] for _ in xs]
+    prev_err = [None] * len(xs)
+    for n in n_list:
+        q_n = seq.value(n, xs[0].backend)
+        ctx = QContext(q_n)
+        for i, x in enumerate(xs):
+            try:
+                lhs = _scaled_deviation(f, x, n, ctx, variant, alpha, beta, tol, max_terms)
+            except (ArithmeticError, DomainError) as exc:
+                tables[i].append(ConvergenceRow(n, q_n, None, None, error=str(exc)))
+                prev_err[i] = None
+                continue
+            row = ConvergenceRow(n, q_n, lhs, rhs[i])
+            if prev_err[i] is not None:
+                row.err_decreased = bool(row.abs_err < prev_err[i])
+            prev_err[i] = row.abs_err
+            tables[i].append(row)
+    return tables
+
+
 def convergence_table(
     f: Union[FunctionSpec, Polynomial],
     x: Scalar,
@@ -242,32 +288,8 @@ def convergence_table(
     tol=None,
     max_terms: int | None = None,
 ) -> list[ConvergenceRow]:
-    """One ConvergenceRow per n, with the limit-form target computed once.
-
-    Individual row failures are recorded on their row instead of aborting
-    the table.  Rows carry err_decreased relative to the previous row.
-    """
-    f = _as_spec(f)
-    _validate_interior(x)
-    if list(n_list) != sorted(set(n_list)):
-        raise DomainError("n_list must be strictly increasing")
-    rhs = voronovskaja_rhs(f, x, variant, alpha, beta)
-    rows: list[ConvergenceRow] = []
-    prev_err = None
-    for n in n_list:
-        q_n = seq.value(n, x.backend)
-        try:
-            lhs = voronovskaja_lhs(f, x, n, q_n, variant, alpha, beta, tol, max_terms)
-        except (ArithmeticError, DomainError) as exc:
-            rows.append(ConvergenceRow(n, q_n, None, None, error=str(exc)))
-            prev_err = None
-            continue
-        row = ConvergenceRow(n, q_n, lhs, rhs)
-        if prev_err is not None:
-            row.err_decreased = bool(row.abs_err < prev_err)
-        prev_err = row.abs_err
-        rows.append(row)
-    return rows
+    """One ConvergenceRow per n at a single x; see convergence_grid."""
+    return convergence_grid(f, [x], seq, n_list, variant, alpha, beta, tol, max_terms)[0]
 
 
 def trend_decreasing_last_half(rows: Sequence[ConvergenceRow]) -> bool:
@@ -279,12 +301,6 @@ def trend_decreasing_last_half(rows: Sequence[ConvergenceRow]) -> bool:
 
 
 # -- scaled central-moment limits ------------------------------------------------
-
-
-def central_moment_at(n: int, m: int, q: Scalar, x: Scalar) -> Scalar:
-    """D_{n,q}((t-x)_q^m; x) through the closed tables; cheap at any n."""
-    ctx = QContext(q)
-    return central_moment(n, m, ctx, route="closed").eval(x)
 
 
 def scaled_central_moment_at(n: int, m: int, q: Scalar, x: Scalar) -> Scalar:

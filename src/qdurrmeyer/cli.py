@@ -21,7 +21,7 @@ from typing import Sequence
 from .asymptotics import (
     ConvergenceRow,
     QSequence,
-    convergence_table,
+    convergence_grid,
     q_taylor_remainder,
 )
 from .errors import DomainError, SingularRemainderError
@@ -258,11 +258,12 @@ def _cmd_voronovskaja(cfg: RunConfig) -> int:
     alpha, beta = cfg.options.get("alpha"), cfg.options.get("beta")
     rtol, floor = cfg.options["rtol"], cfg.options["floor"]
     rows_out, worst = [], None
-    for x in cfg.options["x_grid"]:
-        table = convergence_table(
-            f, x, seq, n_list, variant, alpha, beta,
-            tol=cfg.options.get("tol"), max_terms=cfg.options.get("max_terms"),
-        )
+    grid = cfg.options["x_grid"]
+    tables = convergence_grid(
+        f, grid, seq, n_list, variant, alpha, beta,
+        tol=cfg.options.get("tol"), max_terms=cfg.options.get("max_terms"),
+    )
+    for x, table in zip(grid, tables):
         for row in table:
             rows_out.append(
                 [

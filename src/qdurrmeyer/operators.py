@@ -18,6 +18,9 @@ identity checks in the test-suite can demand exact equality.  The kernel
 sum expands (1-x)_q^(n-k) by Gauss's q-binomial formula and forms only the
 coefficients up to x^(m+1) of the image of a degree-m polynomial, O(m*n)
 work per image; the x^(m+1) coefficient must cancel and is checked.
+
+Black-box f takes one Jackson series per kernel index k; those integrals do
+not depend on x and are memoized on the context, so an x grid shares them.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Union
+from typing import Union
 
 from .errors import (
     BackendMismatchError,
@@ -203,40 +206,40 @@ def durrmeyer_apply_poly(spec: OperatorSpec, p: Polynomial) -> Polynomial:
     return Polynomial(out, ctx.backend)
 
 
-def _apply_fn_pointwise(
-    spec: OperatorSpec,
-    fn: Callable[[Scalar], Scalar],
-    x: Scalar,
-    tol,
-    max_terms,
-) -> Scalar:
-    """Kernel sum for a black-box integrand evaluated through Jackson series."""
+def _apply_fn_pointwise(spec: OperatorSpec, fn, ident: tuple, x: Scalar, tol, max_terms) -> Scalar:
+    """Kernel sum for a black-box integrand, one Jackson series per kernel index k.
+
+    The per-k integrals do not depend on x.  Each is memoized on ctx.memo
+    under (n, k, ident, tol, max_terms), a truncation by its error's fields;
+    ident names fn by its FunctionSpec and Stancu parameters, never a closure.
+    """
     n, ctx = spec.n, spec.ctx
-    lead = ctx.q_int(n + 1)
+    lead, one = ctx.q_int(n + 1), ctx.one.value
     total = ctx.zero
     for k in range(n + 1):
         base = bernstein_basis(spec, k, x)
         if base.is_zero:
             continue
-        binom = ctx.q_binom(n, k)
+        key = ("kernel_integral", n, k, ident, tol, max_terms)
+        if key not in ctx.memo:
+            pows = [ctx.q_power(s).value for s in range(1, n - k + 1)]
 
-        def integrand(t: Scalar, _k=k) -> Scalar:
-            # f(t) * t^k * (1-qt)_q^(n-k); the q^k/q^(-k) pair is folded away
-            out = fn(t) * t ** _k
-            for s in range(n - _k):
-                out = out * (ctx.one - ctx.q_power(s + 1) * t)
-            return out
+            def integrand(t: Scalar, _k=k, pows=pows) -> Scalar:
+                # f(t) * t^k * (1-qt)_q^(n-k) on raw values; the q^k/q^(-k) pair is folded away
+                out = t._lift(fn(t)) * t.value ** _k
+                for p in pows:
+                    out = out * (one - p * t.value)
+                return Scalar(out, ctx.backend)
 
-        try:
-            integral = jackson_series(integrand, ctx, tol=tol, max_terms=max_terms)
-        except JacksonTruncationError as exc:
-            raise JacksonTruncationError(
-                f"{exc} (while integrating kernel index k={k})",
-                last_term=exc.last_term,
-                terms=exc.terms,
-                basis_index=k,
-            ) from exc
-        total = total + lead * base * binom * integral
+            try:
+                ctx.memo[key] = jackson_series(integrand, ctx, tol=tol, max_terms=max_terms)
+            except JacksonTruncationError as exc:
+                msg = f"{exc} (while integrating kernel index k={k})"
+                ctx.memo[key] = (msg, exc.last_term, exc.terms)
+        integral = ctx.memo[key]
+        if isinstance(integral, tuple):  # a memoized truncation, raised afresh for each x
+            raise JacksonTruncationError(*integral, basis_index=k)
+        total = total + lead * base * ctx.q_binom(n, k) * integral
     return total
 
 
@@ -253,14 +256,7 @@ def durrmeyer_apply_fn(
     _check_point(x, spec.ctx)
     if f.is_polynomial:
         return durrmeyer_apply_poly(spec, Polynomial(f.coeffs, spec.ctx.backend)).eval(x)
-    return _apply_fn_pointwise(spec, f.evaluate, x, tol, max_terms)
-
-
-def _stancu_affine(spec: OperatorSpec) -> tuple[Scalar, Scalar]:
-    ctx = spec.ctx
-    qn = ctx.q_int(spec.n)
-    denom = qn + spec.beta
-    return qn / denom, spec.alpha / denom
+    return _apply_fn_pointwise(spec, f.evaluate, (f, None), x, tol, max_terms)
 
 
 def stancu_apply(
@@ -278,12 +274,13 @@ def stancu_apply(
     """
     if spec.variant != STANCU:
         raise UnsupportedVariantError("stancu_apply expects the stancu variant")
-    a, b = _stancu_affine(spec)
-    plain = spec.plain_twin()
+    plain, alpha = spec.plain_twin(), spec.alpha
+    qn = spec.ctx.q_int(spec.n)
+    denom = qn + spec.beta
     if isinstance(f, FunctionSpec) and f.is_polynomial:
         f = Polynomial(f.coeffs, spec.ctx.backend)
     if isinstance(f, Polynomial):
-        image = durrmeyer_apply_poly(plain, f.compose_affine(a, b))
+        image = durrmeyer_apply_poly(plain, f.compose_affine(qn / denom, alpha / denom))
         if x is None:
             return image
         _check_point(x, spec.ctx)
@@ -293,9 +290,10 @@ def stancu_apply(
     _check_point(x, spec.ctx)
 
     def mapped(t: Scalar) -> Scalar:
-        return f.evaluate(a * t + b)
+        # with alpha <= beta this rounds to at most 1; the form a t + b can exceed 1 at t = 1
+        return f.evaluate((qn * t + alpha) / denom)
 
-    return _apply_fn_pointwise(plain, mapped, x, tol, max_terms)
+    return _apply_fn_pointwise(plain, mapped, (f, alpha, spec.beta), x, tol, max_terms)
 
 
 def classical_durrmeyer_apply(spec: OperatorSpec, p: Polynomial) -> Polynomial:

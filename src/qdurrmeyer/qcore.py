@@ -114,9 +114,6 @@ class Scalar:
     def is_zero(self) -> bool:
         return self.value == 0
 
-    def to_float(self) -> "Scalar":
-        return Scalar(float(self.value), Backend.FLOAT)
-
     def _lift(self, other):
         """Return the raw value of `other` in this scalar's backend.
 
@@ -581,7 +578,7 @@ def jackson_series(
 ) -> Scalar:
     """(1-q) sum_{j>=0} q^j fn(q^j), truncated when a term drops below tol.
 
-    Raises JacksonTruncationError if max_terms is hit first.
+    Summed on raw values and wrapped once; JacksonTruncationError if max_terms is hit first.
     """
     if ctx.is_classical:
         raise DomainError("Jackson integration needs 0 < q < 1")
@@ -595,19 +592,18 @@ def jackson_series(
         tol = ctx.scalar(tol)
     if not tol.value > 0:
         raise DomainError("Jackson tolerance must be positive")
-    one_minus_q = ctx.one - ctx.q
-    total = ctx.zero
-    term = ctx.zero
+    one_minus_q = ctx.one.value - ctx.q.value
+    total = term = ctx.zero.value
     for j in range(max_terms):
         node = ctx.q_power(j)
-        term = one_minus_q * node * fn(node)
+        term = one_minus_q * node.value * node._lift(fn(node))
         total = total + term
-        if abs(term) < tol:
-            return total
+        if abs(term) < tol.value:
+            return ctx.scalar(total)
     raise JacksonTruncationError(
         f"Jackson series did not reach tol={tol} within {max_terms} terms "
         f"(last term magnitude {abs(term)})",
-        last_term=abs(term),
+        last_term=ctx.scalar(abs(term)),
         terms=max_terms,
     )
 

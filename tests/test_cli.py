@@ -85,6 +85,31 @@ class TestCentralAndStancuCommands:
 
 
 class TestVoronovskajaCommand:
+    def test_grid_integrates_each_kernel_index_once(self, capsys, monkeypatch):
+        from qdurrmeyer import operators
+
+        calls = []
+        series = operators.jackson_series
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return series(*args, **kwargs)
+
+        monkeypatch.setattr(operators, "jackson_series", counted)
+        _, out, _ = run(capsys, "voronovskaja", "--f", "exp", "--backend", "float",
+                        "--x-grid", "1/5:4/5:4", "--n-list", "8")
+        assert len(out.splitlines()) == 5 and "error" not in out
+        assert len(calls) == 9  # k = 0..8 once for the grid, not once per x (36)
+
+    def test_stancu_blackbox_stays_in_domain(self, capsys):
+        # the affine map once rounded to 1.0000000000000002 at n = 6
+        code, out, err = run(capsys, "voronovskaja", "--f", "exp", "--backend", "float",
+                             "--variant", "stancu", "--alpha", "1", "--beta", "1", "--x", "0.5",
+                             "--q-seq", "one-minus-inv-n", "--n-list", "4,6")
+        assert code == 3  # 1 - 1/n drifts to a different limit
+        assert [line.split(",")[0] for line in out.splitlines()[1:]] == ["4", "6"]
+        assert "error" not in out + err
+
     def test_admissible_sequence_meets_tolerance(self, capsys):
         code, out, _ = run(
             capsys,
@@ -247,10 +272,11 @@ README_EXAMPLES = [
 ]
 
 
-# stdout sha256 of exact outputs at benchmark scale: the moment tables were
-# captured before the kernel sum moved to Gauss's formula, the voronovskaja
-# sweeps (q_n = 1 - 1/n^2 up to n = 1024) before exact q-integers moved to
-# the closed form
+# stdout sha256 of outputs at benchmark scale: the moment tables were
+# captured before the kernel sum moved to Gauss's formula, the exact
+# voronovskaja sweeps (q_n = 1 - 1/n^2 up to n = 1024) before exact
+# q-integers moved to the closed form, the float black-box grids before the
+# kernel integrals were shared across x
 BENCHMARK_SCALE_EXAMPLES = [
     ("moments --n 32 --q 5/16", 0,
      "e105b036ea7382b0ebf7f1f7536619d388a304d2e4e6be9ab9d5337c6bd20394"),
@@ -272,6 +298,18 @@ BENCHMARK_SCALE_EXAMPLES = [
     ("voronovskaja --f t2 --x 25/128 --q-seq one-minus-inv-n "
      "--n-list 8,16,32,64,128,256,512", 3,
      "5728e3da6f9692adf7a7d89d5e1c1a9bbd2b155babc3f134536f39d5ef3e7b17"),
+    ("voronovskaja --backend float --x-grid 177/1000:777/1000:4 --n-list 4,8,16,32 "
+     "--f exp --q-seq one-minus-inv-n", 3,
+     "7b98fec18cda695a01126970580d8847ef85aa8ffc101a676d5dd62fc88f0406"),
+    ("voronovskaja --backend float --x-grid 177/1000:777/1000:4 --n-list 4,8,16,32 "
+     "--f exp --q-seq one-minus-inv-n-squared", 3,
+     "4b35bfc6d452ad84b31caf53d567d05d0cba303f31f2270d7b31f362d5d148b8"),
+    ("voronovskaja --backend float --x-grid 177/1000:777/1000:4 --n-list 4,8,16,32 "
+     "--f sin --q-seq one-minus-inv-n", 3,
+     "18f228ea847890d24ce85b47cf4c180f1288e84d71243052f52874a60d5af804"),
+    ("voronovskaja --backend float --x-grid 177/1000:777/1000:4 --n-list 4,8,16,32 "
+     "--f sin --q-seq one-minus-inv-n-squared", 3,
+     "fe43d3057deb5e2778c649ee30050ec4e48477ec036ab40ebb241a6856b72d46"),
 ]
 
 

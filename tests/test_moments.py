@@ -25,6 +25,7 @@ from qdurrmeyer import (
     transcription_audit,
     voronovskaja_lhs,
 )
+from qdurrmeyer.asymptotics import QSequence, convergence_table
 from qdurrmeyer.moments import (
     MomentReport,
     central_identity_coefficients,
@@ -154,17 +155,28 @@ class TestRecurrence:
             assert values[m] == raw_moment_brute(8, m, ctx_half)
 
 
+def live_contexts():
+    gc.collect()
+    return sum(1 for obj in gc.get_objects() if isinstance(obj, QContext))
+
+
 class TestContextMemo:
     def test_memo_is_freed_with_its_context(self):
-        def live_contexts():
-            gc.collect()
-            return sum(1 for obj in gc.get_objects() if isinstance(obj, QContext))
-
         f, x, q = FunctionSpec.monomial(2), Scalar.exact(3, 10), Scalar.exact(3, 4)
         voronovskaja_lhs(f, x, 8, q)
         before = live_contexts()
         for _ in range(50):
             voronovskaja_lhs(f, x, 8, q)
+        assert live_contexts() <= before
+
+    def test_kernel_integrals_are_freed_with_their_context(self):
+        # n = 16 stops at max_terms = 200, so the memo also holds an error
+        f, x, seq = FunctionSpec.builtin("exp"), Scalar.floating(0.3), QSequence.one_minus_inv_n()
+        rows = convergence_table(f, x, seq, [4, 8, 16], max_terms=200)
+        assert rows[0].error is None and rows[-1].error is not None
+        before = live_contexts()
+        for _ in range(20):
+            convergence_table(f, x, seq, [4, 8, 16], max_terms=200)
         assert live_contexts() <= before
 
     def test_repeated_calls_share_one_result(self):

@@ -22,6 +22,8 @@ from qdurrmeyer import (
     stancu_apply,
 )
 from qdurrmeyer import operators
+from qdurrmeyer.asymptotics import QSequence, convergence_grid
+from qdurrmeyer.cli import main
 from qdurrmeyer.operators import basis_polynomial
 
 from conftest import Q_GRID, X_GRID_16
@@ -272,6 +274,86 @@ class TestDurrmeyerFunction:
         assert err.value.basis_index is not None
 
 
+def boxed_jackson(fn, ctx, max_terms=4096):
+    """The Jackson series with every operation on boxed Scalars, tol = 1e-12."""
+    tol = Scalar.floating(1e-12)
+    one_minus_q = ctx.one - ctx.q
+    term = total = ctx.zero
+    for j in range(max_terms):
+        node = ctx.q_power(j)
+        term = one_minus_q * node * fn(node)
+        total = total + term
+        if abs(term) < tol:
+            return total
+    raise JacksonTruncationError(
+        f"Jackson series did not reach tol={tol} within {max_terms} terms "
+        f"(last term magnitude {abs(term)})"
+    )
+
+
+def boxed_lhs(f, x, n, q, max_terms=4096):
+    """[n]_q (D_{n,q}(f; x) - f(x)) by a kernel sum of its own for this x alone,
+    on boxed Scalars; a truncated series gives the error text instead."""
+    ctx = QContext(q)
+    spec = OperatorSpec.plain(n, ctx)
+    total = ctx.zero
+    for k in range(n + 1):
+        base = bernstein_basis(spec, k, x)
+        if base.is_zero:
+            continue
+
+        def integrand(t, _k=k):
+            out = f.evaluate(t) * t ** _k
+            for s in range(n - _k):
+                out = out * (ctx.one - ctx.q_power(s + 1) * t)
+            return out
+
+        try:
+            integral = boxed_jackson(integrand, ctx, max_terms)
+        except JacksonTruncationError as exc:
+            return f"{exc} (while integrating kernel index k={k})"
+        total = total + ctx.q_int(n + 1) * base * ctx.q_binom(n, k) * integral
+    return ctx.q_int(n) * (total - f.evaluate(x))
+
+
+GRID_X = [Scalar.floating(v) for v in (0.177, 0.377, 0.577, 0.777)]
+
+
+class TestSharedKernelIntegrals:
+    @pytest.mark.parametrize("name", ["exp", "sin"])
+    def test_grid_equals_boxed_sum_per_x(self, name):
+        f = FunctionSpec.builtin(name)
+        numeric = 0
+        for seq in (QSequence.one_minus_inv_n(), QSequence.power_decay(2)):
+            tables = convergence_grid(f, GRID_X, seq, [4, 8, 16])
+            for x, table in zip(GRID_X, tables):
+                for row in table:
+                    want = boxed_lhs(f, x, row.n, row.q_n)
+                    if isinstance(want, str):
+                        assert row.lhs is None and row.error == want
+                    else:
+                        assert row.error is None and row.lhs == want
+                        numeric += 1
+        assert numeric >= 20
+
+    def test_truncating_grid_keeps_error_text_and_index(self, capsys):
+        f = FunctionSpec.builtin("exp")
+        code = main(["voronovskaja", "--f", "exp", "--backend", "float", "--x-grid",
+                     "0.177:0.777:4", "--n-list", "4,8", "--max-terms", "2"])
+        lines = capsys.readouterr().out.splitlines()[1:]
+        assert code == 3 and len(lines) == 8
+        for line in lines:
+            n, q, x, lhs = line.split(",")[:4]
+            want = boxed_lhs(f, Scalar.floating(float(x)), int(n), Scalar.floating(float(q)), 2)
+            assert lhs == ("error:" + want).replace(",", ";")
+        # on one context the second x re-raises the memoized error
+        spec = OperatorSpec.plain(4, QContext.floating(0.75))
+        for x in GRID_X:
+            with pytest.raises(JacksonTruncationError) as err:
+                durrmeyer_apply_fn(spec, f, x, max_terms=2)
+            assert err.value.basis_index == 0
+
+
 class TestStancu:
     def test_zero_parameters_collapse_to_plain(self, ctx_half):
         spec = OperatorSpec.stancu(3, ctx_half, Scalar.exact(0), Scalar.exact(0))
@@ -299,11 +381,26 @@ class TestStancu:
         table = {ctx.q_power(j): None for j in range(1200)}
         # the affine map sends nodes off the Jackson grid, so tabulate the
         # mapped points instead of the nodes themselves
-        a = ctx.q_int(3) / (ctx.q_int(3) + Scalar.floating(2.0))
-        b = Scalar.floating(1.0) / (ctx.q_int(3) + Scalar.floating(2.0))
-        mapped = {a * p + b: (a * p + b) ** 2 for p in table}
+        # mapped points as the operator forms them, ([n]_q t + alpha) / ([n]_q + beta)
+        qn, denom = ctx.q_int(3), ctx.q_int(3) + Scalar.floating(2.0)
+        points = [(qn * p + Scalar.floating(1.0)) / denom for p in table]
+        mapped = {u: u ** 2 for u in points}
         series = stancu_apply(spec, FunctionSpec.tabulated(mapped), x, tol=1e-14)
         assert abs(float(series) - float(exact)) < 1e-11
+
+    def test_function_path_stays_in_domain(self):
+        # a t + b with a = [n]/([n]+beta), b = alpha/([n]+beta) rounds above 1
+        # at t = 1 for (n, alpha = beta) = (6, 1), (5, 0.1), (64, 0.5), (15, 1)
+        # on these q; the first Jackson node is t = 1, and with tol = 1e-300
+        # every call must get past it to the truncation error
+        f = FunctionSpec.builtin("exp")
+        for n in range(2, 65):
+            for q in (1.0 - 1.0 / n, 1.0 - float(n) ** -2, 0.9):
+                for ab in (0.1, 0.5, 1.0):
+                    ab = Scalar.floating(ab)
+                    spec = OperatorSpec.stancu(n, QContext.floating(q), ab, ab)
+                    with pytest.raises(JacksonTruncationError):
+                        stancu_apply(spec, f, Scalar.floating(0.5), tol=1e-300, max_terms=1)
 
     def test_needs_stancu_variant(self, ctx_half):
         plain = OperatorSpec.plain(2, ctx_half)
