@@ -22,10 +22,7 @@ from .qcore import (
     Scalar,
     jackson_integral,
     q_beta,
-    q_binomial,
     q_derivative,
-    q_factorial,
-    q_integer,
     q_pochhammer_one_minus,
 )
 from .polyalg import BivariateExpansion, Polynomial
@@ -73,9 +70,6 @@ __all__ = [
     "MomentReport",
     "ConvergenceRow",
     "QSequence",
-    "q_integer",
-    "q_factorial",
-    "q_binomial",
     "q_pochhammer_one_minus",
     "q_derivative",
     "jackson_integral",

@@ -5,10 +5,11 @@ For a sequence q_n -> 1 the scaled deviation
     [n]_{q_n} ( D_{n,q_n}(f; x) - f(x) )
 
 is tabulated against its second-order limit target.  In limit form the
-target is (1-2x) f'(x) + x(1-x) f''(x) for the plain operator and
-(1+alpha-(2+beta)x) f'(x) + x(1-x) f''(x) for the Stancu variant; a
-finite-q form with q-derivatives in place of f', f'' is available for
-diagnostics.
+target is (1+alpha-(2+beta)x) f'(x) + x(1-x) f''(x) for the Stancu
+operator, and the plain operator is its case alpha = beta = 0; a finite-q
+form with q-derivatives in place of f', f'' is available for diagnostics.
+The public `variant` argument ("plain" or "stancu", with alpha and beta)
+is turned into that one description, None or (alpha, beta), on entry.
 
 A caution that the tables make visible: those targets are the limits only
 when q_n^n -> 1 (for example q_n = 1 - 1/n^2).  Along q_n = 1 - 1/n one
@@ -35,7 +36,7 @@ from .moments import (
     raw_moment_closed,
     stancu_moment_at,
 )
-from .operators import PLAIN, STANCU, OperatorSpec, durrmeyer_apply_fn, stancu_apply
+from .operators import OperatorSpec, durrmeyer_apply_fn, stancu_apply
 from .polyalg import Polynomial
 from .qcore import Backend, FunctionSpec, QContext, Scalar, q_derivative
 
@@ -52,6 +53,10 @@ __all__ = [
     "decay_slope",
     "q_power_limit",
 ]
+
+PLAIN = "plain"
+STANCU = "stancu"
+
 
 @dataclass(frozen=True)
 class QSequence:
@@ -135,44 +140,37 @@ def _validate_interior(x: Scalar):
         raise DomainError("the asymptotic statements hold for x in (0, 1)")
 
 
-def _plain_image_value(n: int, ctx: QContext, f: FunctionSpec, x: Scalar, tol, max_terms) -> Scalar:
-    if f.is_polynomial:
-        total = ctx.zero
-        for m, c in enumerate(f.coeffs):
-            if c.is_zero:
-                continue
-            raw = raw_moment_closed(n, m, ctx) if m <= 4 else raw_moment_brute(n, m, ctx)
-            total = total + c * raw.eval(x)
-        return total
-    return durrmeyer_apply_fn(OperatorSpec.plain(n, ctx), f, x, tol, max_terms)
-
-
-def _stancu_image_value(
-    n: int, ctx: QContext, f: FunctionSpec, x: Scalar, alpha: Scalar, beta: Scalar, tol, max_terms
-) -> Scalar:
-    if f.is_polynomial:
-        total = ctx.zero
-        for m, c in enumerate(f.coeffs):
-            if c.is_zero:
-                continue
-            raw_route = "closed" if m <= 4 else "brute"
-            total = total + c * stancu_moment_at(n, m, ctx, alpha, beta, x, raw_route)
-        return total
-    spec = OperatorSpec.stancu(n, ctx, alpha, beta)
-    return stancu_apply(spec, f, x, tol, max_terms)
+def _stancu_params(variant: str, alpha, beta) -> tuple[Scalar, Scalar] | None:
+    """None for the plain operator, (alpha, beta) for the Stancu one."""
+    if variant == PLAIN:
+        return None
+    if variant != STANCU:
+        raise DomainError(f"variant must be plain or stancu, not {variant!r}")
+    if alpha is None or beta is None:
+        raise DomainError("stancu variant needs alpha and beta")
+    return alpha, beta
 
 
 def _scaled_deviation(
-    f: FunctionSpec, x: Scalar, n: int, ctx: QContext, variant, alpha, beta, tol, max_terms
+    f: FunctionSpec, x: Scalar, n: int, ctx: QContext, params, tol, max_terms
 ) -> Scalar:
-    if variant == PLAIN:
-        image = _plain_image_value(n, ctx, f, x, tol, max_terms)
-    elif variant == STANCU:
-        if alpha is None or beta is None:
-            raise DomainError("stancu variant needs alpha and beta")
-        image = _stancu_image_value(n, ctx, f, x, alpha, beta, tol, max_terms)
+    """[n]_q (image of f at x - f(x)); plain for params None, else Stancu at (alpha, beta)."""
+    if f.is_polynomial:
+        image = ctx.zero
+        for m, c in enumerate(f.coeffs):
+            if c.is_zero:
+                continue
+            closed = m <= 4  # the closed moment tables stop at m = 4
+            if params is None:
+                value = (raw_moment_closed if closed else raw_moment_brute)(n, m, ctx).eval(x)
+            else:
+                value = stancu_moment_at(n, m, ctx, *params, x, "closed" if closed else "brute")
+            image = image + c * value
+    elif params is None:
+        # kept apart from the Stancu path: (q_n t + 0)/(q_n + 0) is not always t in floats
+        image = durrmeyer_apply_fn(OperatorSpec(n, ctx), f, x, tol, max_terms)
     else:
-        raise DomainError(f"voronovskaja_lhs supports plain or stancu, not {variant!r}")
+        image = stancu_apply(OperatorSpec(n, ctx, *params), f, x, tol, max_terms)
     return ctx.q_int(n) * (image - f.evaluate(x))
 
 
@@ -197,7 +195,8 @@ def voronovskaja_lhs(
     """
     f = _as_spec(f)
     _validate_interior(x)
-    return _scaled_deviation(f, x, n, QContext(q), variant, alpha, beta, tol, max_terms)
+    params = _stancu_params(variant, alpha, beta)
+    return _scaled_deviation(f, x, n, QContext(q), params, tol, max_terms)
 
 
 def voronovskaja_rhs(
@@ -215,6 +214,7 @@ def voronovskaja_rhs(
     """
     f = _as_spec(f)
     _validate_interior(x)
+    alpha, beta = _stancu_params(variant, alpha, beta) or (0, 0)
     if ctx is None:
         d1 = f.classical_derivative(x, 1)
         d2 = f.classical_derivative(x, 2)
@@ -222,15 +222,7 @@ def voronovskaja_rhs(
         d1 = q_derivative(f, x, ctx, 1)
         d2 = q_derivative(f, x, ctx, 2)
     one = Scalar.one(x.backend)
-    if variant == PLAIN:
-        first = one - 2 * x
-    elif variant == STANCU:
-        if alpha is None or beta is None:
-            raise DomainError("stancu variant needs alpha and beta")
-        first = one + alpha - (2 + beta) * x
-    else:
-        raise DomainError(f"voronovskaja_rhs supports plain or stancu, not {variant!r}")
-    return first * d1 + x * (one - x) * d2
+    return (one + alpha - (2 + beta) * x) * d1 + x * (one - x) * d2
 
 
 def convergence_grid(
@@ -252,10 +244,13 @@ def convergence_grid(
     before them for the same x.
     """
     f = _as_spec(f)
+    if not xs:
+        raise DomainError("convergence_grid needs at least one x")
     for x in xs:
         _validate_interior(x)
     if list(n_list) != sorted(set(n_list)):
         raise DomainError("n_list must be strictly increasing")
+    params = _stancu_params(variant, alpha, beta)
     rhs = [voronovskaja_rhs(f, x, variant, alpha, beta) for x in xs]
     tables: list[list[ConvergenceRow]] = [[] for _ in xs]
     prev_err = [None] * len(xs)
@@ -264,7 +259,7 @@ def convergence_grid(
         ctx = QContext(q_n)
         for i, x in enumerate(xs):
             try:
-                lhs = _scaled_deviation(f, x, n, ctx, variant, alpha, beta, tol, max_terms)
+                lhs = _scaled_deviation(f, x, n, ctx, params, tol, max_terms)
             except (ArithmeticError, DomainError) as exc:
                 tables[i].append(ConvergenceRow(n, q_n, None, None, error=str(exc)))
                 prev_err[i] = None

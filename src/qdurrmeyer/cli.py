@@ -69,12 +69,15 @@ class UsageError(Exception):
     pass
 
 
-def _parse_scalar(text: str, backend: Backend) -> Scalar:
+def _parse_number(text: str) -> Fraction:
     try:
-        value = Fraction(text)
+        return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"cannot parse number {text!r}: {exc}") from None
-    return Scalar(value, backend)
+
+
+def _parse_scalar(text: str, backend: Backend) -> Scalar:
+    return Scalar(_parse_number(text), backend)
 
 
 def _parse_grid(text: str, backend: Backend) -> list[Scalar]:
@@ -82,7 +85,7 @@ def _parse_grid(text: str, backend: Backend) -> list[Scalar]:
     parts = text.split(":")
     if len(parts) != 3:
         raise UsageError(f"grid must look like a:b:steps, got {text!r}")
-    a, b = Fraction(parts[0]), Fraction(parts[1])
+    a, b = _parse_number(parts[0]), _parse_number(parts[1])
     try:
         steps = int(parts[2])
     except ValueError:
@@ -308,7 +311,8 @@ def _cmd_remainder(cfg: RunConfig) -> int:
     rows = []
     span = Scalar.one(x.backend) - x
     for i in range(1, steps + 1):
-        t = x + span / (2 ** i)
+        # span * 2^-i rounds once, like span / 2^i, where a float 2^i would overflow
+        t = x + span * ctx.scalar(Fraction(1, 2 ** i))
         try:
             theta = q_taylor_remainder(f, x, t, ctx)
             rows.append([str(i), _scalar_cell(t), _scalar_cell(theta), ""])

@@ -6,10 +6,12 @@ Plain q-Durrmeyer:
                     int_0^1 f(t) p_{nk}(q; qt) d_q t,
     p_{nk}(q; x)  = [n choose k]_q x^k (1-x)_q^(n-k).
 
-Stancu variant composes f with t -> ([n]_q t + alpha) / ([n]_q + beta) for
-0 <= alpha <= beta.  The classical variant is the q = 1 operator evaluated
-through ordinary Beta integrals; it exists as a q -> 1 cross-check target
-and accepts polynomials only.
+The Stancu operator composes f with t -> ([n]_q t + alpha) / ([n]_q + beta)
+for 0 <= alpha <= beta; an `OperatorSpec` describes it when it carries alpha
+and beta, and the plain operator when it carries neither.  The q = 1
+operator, `classical_durrmeyer_apply(n, p)`, is evaluated through ordinary
+Beta integrals; it exists as a q -> 1 cross-check target and accepts exact
+polynomials only.
 
 Since p_{nk}(q; qt) carries a factor q^k, the q^(-k) weight is folded
 against it before anything is evaluated; no negative powers of q are ever
@@ -40,23 +42,15 @@ from .polyalg import Polynomial
 from .qcore import Backend, FunctionSpec, QContext, Scalar, jackson_series, q_beta
 
 __all__ = [
-    "PLAIN",
-    "STANCU",
-    "CLASSICAL",
     "OperatorSpec",
     "check_stancu_parameters",
     "bernstein_basis",
-    "basis_polynomial",
     "kernel_mass",
     "durrmeyer_apply_poly",
     "durrmeyer_apply_fn",
     "stancu_apply",
     "classical_durrmeyer_apply",
 ]
-
-PLAIN = "plain"
-STANCU = "stancu"
-CLASSICAL = "classical"
 
 
 def check_stancu_parameters(alpha: Scalar, beta: Scalar, backend: Backend) -> None:
@@ -69,30 +63,20 @@ def check_stancu_parameters(alpha: Scalar, beta: Scalar, backend: Backend) -> No
 
 @dataclass(frozen=True)
 class OperatorSpec:
-    """Degree n, deformation context, and operator variant."""
+    """Degree n and deformation context; alpha and beta, if given, make it Stancu."""
 
     n: int
     ctx: QContext
-    variant: str = PLAIN
     alpha: Scalar | None = None
     beta: Scalar | None = None
 
     def __post_init__(self):
         if self.n < 1:
             raise DomainError("operator degree n must be >= 1")
-        if self.variant not in (PLAIN, STANCU, CLASSICAL):
-            raise DomainError(f"unknown variant {self.variant!r}")
-        if self.variant == CLASSICAL:
-            if not self.ctx.is_classical:
-                raise DomainError("classical variant requires the classical context")
-        elif self.ctx.is_classical:
-            raise DomainError("q-variants require 0 < q < 1")
-        if self.variant == STANCU:
-            if self.alpha is None or self.beta is None:
-                raise DomainError("stancu variant needs alpha and beta")
+        if (self.alpha is None) != (self.beta is None):
+            raise DomainError("stancu parameters alpha and beta come together")
+        if self.alpha is not None:
             check_stancu_parameters(self.alpha, self.beta, self.ctx.backend)
-        elif self.alpha is not None or self.beta is not None:
-            raise DomainError("alpha/beta are only meaningful for the stancu variant")
 
     @classmethod
     def plain(cls, n: int, ctx: QContext) -> "OperatorSpec":
@@ -100,14 +84,7 @@ class OperatorSpec:
 
     @classmethod
     def stancu(cls, n: int, ctx: QContext, alpha: Scalar, beta: Scalar) -> "OperatorSpec":
-        return cls(n, ctx, STANCU, alpha, beta)
-
-    @classmethod
-    def classical(cls, n: int) -> "OperatorSpec":
-        return cls(n, QContext.classical(), CLASSICAL)
-
-    def plain_twin(self) -> "OperatorSpec":
-        return OperatorSpec(self.n, self.ctx) if self.variant != PLAIN else self
+        return cls(n, ctx, alpha, beta)
 
 
 def _check_point(x: Scalar, ctx: QContext):
@@ -138,21 +115,9 @@ def _gauss_coefficients(ctx: QContext, N: int, count: int) -> list[Scalar]:
     return out
 
 
-def basis_polynomial(spec: OperatorSpec, k: int) -> Polynomial:
-    """p_{nk}(q; x) expanded as a polynomial in x."""
-    n, ctx = spec.n, spec.ctx
-    if not 0 <= k <= n:
-        raise DomainError(f"basis index needs 0 <= k <= n, got k={k} n={n}")
-    binom = ctx.q_binom(n, k)
-    tail = [binom * c for c in _gauss_coefficients(ctx, n - k, n - k + 1)]
-    return Polynomial([ctx.zero] * k + tail, ctx.backend)
-
-
 def kernel_mass(spec: OperatorSpec, k: int) -> Scalar:
     """int_0^1 p_{nk}(q; qt) d_q t, which collapses to q^k / [n+1]_q."""
     n, ctx = spec.n, spec.ctx
-    if spec.variant == CLASSICAL:
-        raise UnsupportedVariantError("classical variant has no q-kernel; use the classical path")
     if not 0 <= k <= n:
         raise DomainError(f"kernel index needs 0 <= k <= n, got k={k} n={n}")
     return ctx.q_binom(n, k) * ctx.q_power(k) * q_beta(k + 1, n - k + 1, ctx)
@@ -183,8 +148,8 @@ def durrmeyer_apply_poly(spec: OperatorSpec, p: Polynomial) -> Polynomial:
     Forms x^0 .. x^(top+1), top = min(deg p, n), from the weights k <= top + 1.
     x^(top+1) must cancel: exact residue raises ArithmeticError, float is dropped.
     """
-    if spec.variant != PLAIN:
-        raise UnsupportedVariantError("durrmeyer_apply_poly expects the plain variant")
+    if spec.alpha is not None:
+        raise UnsupportedVariantError("durrmeyer_apply_poly expects the plain operator")
     n, ctx = spec.n, spec.ctx
     if p.backend is not ctx.backend:
         raise BackendMismatchError("polynomial backend differs from context")
@@ -251,8 +216,8 @@ def durrmeyer_apply_fn(
     max_terms: int | None = None,
 ) -> Scalar:
     """D_{n,q}(f; x) for a FunctionSpec; polynomial specs take the exact path."""
-    if spec.variant != PLAIN:
-        raise UnsupportedVariantError("durrmeyer_apply_fn expects the plain variant")
+    if spec.alpha is not None:
+        raise UnsupportedVariantError("durrmeyer_apply_fn expects the plain operator")
     _check_point(x, spec.ctx)
     if f.is_polynomial:
         return durrmeyer_apply_poly(spec, Polynomial(f.coeffs, spec.ctx.backend)).eval(x)
@@ -266,15 +231,15 @@ def stancu_apply(
     tol=None,
     max_terms: int | None = None,
 ):
-    """Image under the Stancu variant.
+    """Image under the Stancu operator.
 
     Polynomial input returns the exact image polynomial (or its value when
     x is given).  Function input needs an evaluation point and goes through
     the Jackson-series path with the affine argument map applied first.
     """
-    if spec.variant != STANCU:
-        raise UnsupportedVariantError("stancu_apply expects the stancu variant")
-    plain, alpha = spec.plain_twin(), spec.alpha
+    if spec.alpha is None:
+        raise UnsupportedVariantError("stancu_apply expects the stancu operator")
+    plain, alpha = OperatorSpec(spec.n, spec.ctx), spec.alpha
     qn = spec.ctx.q_int(spec.n)
     denom = qn + spec.beta
     if isinstance(f, FunctionSpec) and f.is_polynomial:
@@ -296,16 +261,15 @@ def stancu_apply(
     return _apply_fn_pointwise(plain, mapped, (f, alpha, spec.beta), x, tol, max_terms)
 
 
-def classical_durrmeyer_apply(spec: OperatorSpec, p: Polynomial) -> Polynomial:
-    """The q = 1 operator via ordinary Beta integrals, exact backend only.
+def classical_durrmeyer_apply(n: int, p: Polynomial) -> Polynomial:
+    """The q = 1 operator of degree n via ordinary Beta integrals, exact backend only.
 
     int_0^1 t^a (1-t)^b dt = a! b! / (a+b+1)!
     """
-    if spec.variant != CLASSICAL:
-        raise UnsupportedVariantError("classical_durrmeyer_apply expects the classical variant")
+    if n < 1:
+        raise DomainError("operator degree n must be >= 1")
     if p.backend is not Backend.EXACT:
         raise BackendMismatchError("the classical cross-check path is exact-only")
-    n = spec.n
     one_minus_x = Polynomial.from_fractions([1, -1])
     out = Polynomial.zero(Backend.EXACT)
     for k in range(n + 1):

@@ -12,7 +12,9 @@ Conventions (Jackson / Kac-Cheung):
 
 Every operation is a pure function of its inputs.  Numbers are `Scalar`
 values tagged with a backend: exact rationals (no rounding, decidable
-equality) or binary floats.  The two backends never mix silently.
+equality) or binary floats.  The two backends never mix silently.  A
+`QContext` always carries 0 < q < 1; the q = 1 operator needs no context
+(see `operators.classical_durrmeyer_apply`).
 
 Exact q-integers use the closed form [n]_q = (1 - q^n)/(1 - q) in integers;
 float ones keep the running sum, as the closed form cancels badly near q = 1.
@@ -38,9 +40,6 @@ __all__ = [
     "QContext",
     "FunctionSpec",
     "BUILTIN_NAMES",
-    "q_integer",
-    "q_factorial",
-    "q_binomial",
     "q_pochhammer_one_minus",
     "q_derivative",
     "horner",
@@ -225,32 +224,27 @@ class Scalar:
 class QContext:
     """The deformation parameter q plus the caches that depend on it.
 
-    Requires 0 < q < 1 strictly.  The distinguished `classical()` context
-    carries q = 1 and is accepted only by the classical evaluator.  Contexts
-    are immutable after construction and hash by identity.  Each context
-    owns its q-integer tables and a `memo` dict of moment results keyed by
-    (function name, n, m); both are freed with the context, so values
-    computed for different q never mix and a sweep that drops its contexts
-    does not accumulate them.  Cache growth is append-only under the GIL,
-    which makes sharing a context across parallel workers safe.
+    Requires 0 < q < 1 strictly.  Contexts are immutable after construction
+    and hash by identity.  Each context owns its q-integer tables and a
+    `memo` dict of moment results keyed by (function name, n, m); both are
+    freed with the context, so values computed for different q never mix and
+    a sweep that drops its contexts does not accumulate them.  Cache growth
+    is append-only under the GIL, which makes sharing a context across
+    parallel workers safe.
 
     Exact `q_int(n)` is S_n / d^(n-1), S_n = (d^n - a^n)/(d - a) for q = a/d in
-    lowest terms (n when a = d), cached per index; float `q_int` is a running sum.
+    lowest terms, cached per index; float `q_int` is a running sum.
     """
 
-    __slots__ = ("q", "backend", "is_classical", "memo", "_qint", "_qfact", "_qpow")
+    __slots__ = ("q", "backend", "memo", "_qint", "_qfact", "_qpow")
 
-    def __init__(self, q: Scalar, _classical: bool = False):
+    def __init__(self, q: Scalar):
         if not isinstance(q, Scalar):
             raise TypeError("q must be a Scalar")
-        if _classical:
-            if q != 1:
-                raise DomainError("classical context requires q = 1")
-        elif not (0 < q.value < 1):
+        if not (0 < q.value < 1):
             raise DomainError("q must satisfy 0 < q < 1")
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "backend", q.backend)
-        object.__setattr__(self, "is_classical", _classical)
         object.__setattr__(self, "memo", {})
         one = Scalar.one(q.backend)
         object.__setattr__(self, "_qint", {0: Scalar.zero(q.backend), 1: one})
@@ -267,10 +261,6 @@ class QContext:
     @classmethod
     def floating(cls, value) -> "QContext":
         return cls(Scalar.floating(value))
-
-    @classmethod
-    def classical(cls) -> "QContext":
-        return cls(Scalar.exact(1), _classical=True)
 
     @property
     def zero(self) -> Scalar:
@@ -300,6 +290,7 @@ class QContext:
         return pows[j]
 
     def q_int(self, n: int) -> Scalar:
+        """[n]_q = 1 + q + ... + q^(n-1); zero for n = 0."""
         if n < 0:
             raise DomainError("q-integer index must be nonnegative")
         table = self._qint
@@ -308,11 +299,11 @@ class QContext:
                 table[k] = table[k - 1] + self.q_power(k - 1)
         elif n not in table:
             a, d = self.q.value.as_integer_ratio()
-            s = (d ** n - a ** n) // (d - a) if a != d else n
-            table[n] = Scalar.exact(s, d ** (n - 1))
+            table[n] = Scalar.exact((d ** n - a ** n) // (d - a), d ** (n - 1))
         return table[n]
 
     def q_fact(self, n: int) -> Scalar:
+        """[n]_q! with [0]_q! = 1."""
         if n < 0:
             raise DomainError("q-factorial index must be nonnegative")
         table = self._qfact
@@ -321,31 +312,16 @@ class QContext:
         return table[n]
 
     def q_binom(self, n: int, k: int) -> Scalar:
+        """Gaussian binomial [n choose k]_q, requires 0 <= k <= n."""
         if not 0 <= k <= n:
             raise DomainError(f"q-binomial needs 0 <= k <= n, got n={n} k={k}")
         return self.q_fact(n) / (self.q_fact(k) * self.q_fact(n - k))
 
     def __repr__(self):
-        label = "classical" if self.is_classical else str(self.q)
-        return f"QContext(q={label}, backend={self.backend.value})"
+        return f"QContext(q={self.q}, backend={self.backend.value})"
 
 
 # -- q-arithmetic operations -------------------------------------------------
-
-
-def q_integer(n: int, ctx: QContext) -> Scalar:
-    """[n]_q = 1 + q + ... + q^(n-1); zero for n = 0."""
-    return ctx.q_int(n)
-
-
-def q_factorial(n: int, ctx: QContext) -> Scalar:
-    """[n]_q! with [0]_q! = 1."""
-    return ctx.q_fact(n)
-
-
-def q_binomial(n: int, k: int, ctx: QContext) -> Scalar:
-    """Gaussian binomial [n choose k]_q, requires 0 <= k <= n."""
-    return ctx.q_binom(n, k)
 
 
 def q_pochhammer_one_minus(x: Scalar, m: int, ctx: QContext) -> Scalar:
@@ -378,14 +354,6 @@ def q_beta(a: int, b: int, ctx: QContext) -> Scalar:
 
 # -- function specifications ---------------------------------------------------
 
-def _builtin_exp(t: float) -> float:
-    return math.exp(t)
-
-
-def _builtin_sin(t: float) -> float:
-    return math.sin(t)
-
-
 def _builtin_sqrt_shift(t: float) -> float:
     return math.sqrt(t + 0.5)
 
@@ -401,8 +369,8 @@ def _builtin_reciprocal_shift(t: float) -> float:
 # name -> (f, f', f'').  All are bounded on [0, 1]; the shifts keep
 # singular or non-smooth points away from the endpoints.
 _BUILTINS: Mapping[str, tuple] = {
-    "exp": (_builtin_exp, math.exp, math.exp),
-    "sin": (_builtin_sin, math.cos, lambda t: -math.sin(t)),
+    "exp": (math.exp, math.exp, math.exp),
+    "sin": (math.sin, math.cos, lambda t: -math.sin(t)),
     "sqrt-shift": (
         _builtin_sqrt_shift,
         lambda t: 0.5 / math.sqrt(t + 0.5),
@@ -580,8 +548,6 @@ def jackson_series(
 
     Summed on raw values and wrapped once; JacksonTruncationError if max_terms is hit first.
     """
-    if ctx.is_classical:
-        raise DomainError("Jackson integration needs 0 < q < 1")
     if max_terms is None:
         max_terms = DEFAULT_MAX_TERMS
     if max_terms < 1:

@@ -37,8 +37,6 @@ from .qcore import (
     Scalar,
     jackson_integral,
     q_beta,
-    q_binomial,
-    q_integer,
 )
 
 __all__ = ["VerifyEntry", "build_report", "DEFAULT_Q_VALUES"]
@@ -72,8 +70,8 @@ def _check_q_integer_identities(ctxs) -> VerifyEntry:
     bad = []
     for ctx in ctxs:
         for n in range(65):
-            lhs = q_integer(n + 1, ctx)
-            if lhs != q_integer(n, ctx) + ctx.q_power(n) or lhs != ctx.one + ctx.q * q_integer(n, ctx):
+            lhs = ctx.q_int(n + 1)
+            if lhs != ctx.q_int(n) + ctx.q_power(n) or lhs != ctx.one + ctx.q * ctx.q_int(n):
                 bad.append(f"n={n} q={ctx.q}")
     return _entry("q-integer-identities", bad)
 
@@ -83,13 +81,13 @@ def _check_pascal(ctxs) -> VerifyEntry:
     for ctx in ctxs:
         for n in range(1, 21):
             for k in range(n + 1):
-                b = q_binomial(n, k, ctx)
-                left = (q_binomial(n - 1, k - 1, ctx) if k >= 1 else ctx.zero) + (
-                    ctx.q_power(k) * q_binomial(n - 1, k, ctx) if k <= n - 1 else ctx.zero
+                b = ctx.q_binom(n, k)
+                left = (ctx.q_binom(n - 1, k - 1) if k >= 1 else ctx.zero) + (
+                    ctx.q_power(k) * ctx.q_binom(n - 1, k) if k <= n - 1 else ctx.zero
                 )
                 right = (
-                    ctx.q_power(n - k) * q_binomial(n - 1, k - 1, ctx) if k >= 1 else ctx.zero
-                ) + (q_binomial(n - 1, k, ctx) if k <= n - 1 else ctx.zero)
+                    ctx.q_power(n - k) * ctx.q_binom(n - 1, k - 1) if k >= 1 else ctx.zero
+                ) + (ctx.q_binom(n - 1, k) if k <= n - 1 else ctx.zero)
                 if b != left or b != right:
                     bad.append(f"n={n} k={k} q={ctx.q}")
     return _entry("q-pascal-recursions", bad)

@@ -279,9 +279,7 @@ def test_criterion_10_classical_bridge():
     ok = True
     details = []
     for n in range(1, 5):
-        classical = classical_durrmeyer_apply(
-            OperatorSpec.classical(n), Polynomial.monomial(1, Backend.EXACT)
-        )
+        classical = classical_durrmeyer_apply(n, Polynomial.monomial(1, Backend.EXACT))
         assert classical == Polynomial.from_fractions(
             [Fraction(1, n + 2), Fraction(n, n + 2)]
         )

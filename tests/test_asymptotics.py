@@ -14,6 +14,7 @@ from qdurrmeyer import (
     QContext,
     Scalar,
     SingularRemainderError,
+    convergence_grid,
     convergence_table,
     q_taylor_remainder,
     voronovskaja_lhs,
@@ -170,6 +171,10 @@ class TestConvergenceTable:
             convergence_table(T2, X03, QSequence.one_minus_inv_n(), [8, 8])
         with pytest.raises(DomainError):
             decay_slope(2, Scalar.exact(1, 3), QSequence.power_decay(2), [8, 8])
+
+    def test_empty_x_list_rejected(self):
+        with pytest.raises(DomainError):
+            convergence_grid(T2, [], QSequence.one_minus_inv_n(), [8])
 
     def test_plain_limit_along_admissible_sequence(self):
         # q_n^n -> 1 realizes the classical second-order limit 0.66

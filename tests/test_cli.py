@@ -187,6 +187,12 @@ class TestVoronovskajaCommand:
         )
         assert code == 2
 
+    def test_bad_grid_endpoint_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "voronovskaja", "--x-grid", "1/0:1:3")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("usage error: cannot parse number '1/0'")
+
     def test_boundary_x_rejected(self, capsys):
         code, _, _ = run(capsys, "voronovskaja", "--x", "0")
         assert code == 2
@@ -233,6 +239,15 @@ class TestRemainderCommand:
         assert lines[0] == "step,t,theta,note"
         # theta for t^3 is t - q^2 x: first grid point t = 3/4 gives 5/8
         assert lines[1] == "1,3/4,5/8,"
+
+    def test_float_steps_past_double_range(self, capsys):
+        # 2**i exceeds the float range past i = 1023; the grid must not overflow
+        code, out, _ = run(
+            capsys, "remainder", "--backend", "float", "--f", "t3", "--x", "0.5",
+            "--q", "0.5", "--steps", "1100",
+        )
+        assert code == 0
+        assert len(out.splitlines()) == 1 + 1100
 
 
 class TestVerifyCommand:

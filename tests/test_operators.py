@@ -24,7 +24,6 @@ from qdurrmeyer import (
 from qdurrmeyer import operators
 from qdurrmeyer.asymptotics import QSequence, convergence_grid
 from qdurrmeyer.cli import main
-from qdurrmeyer.operators import basis_polynomial
 
 from conftest import Q_GRID, X_GRID_16
 
@@ -34,13 +33,11 @@ class TestOperatorSpec:
         with pytest.raises(DomainError):
             OperatorSpec.plain(0, ctx_half)
         with pytest.raises(DomainError):
-            OperatorSpec(2, ctx_half, "classical")
-        with pytest.raises(DomainError):
-            OperatorSpec(2, QContext.classical(), "plain")
-        with pytest.raises(DomainError):
             OperatorSpec.stancu(2, ctx_half, Scalar.exact(3), Scalar.exact(1))
         with pytest.raises(DomainError):
-            OperatorSpec(2, ctx_half, "plain", alpha=Scalar.exact(1))
+            OperatorSpec(2, ctx_half, alpha=Scalar.exact(1))
+        with pytest.raises(DomainError):
+            OperatorSpec(2, ctx_half, beta=Scalar.exact(1))
 
     def test_stancu_accepts_boundary(self, ctx_half):
         OperatorSpec.stancu(2, ctx_half, Scalar.exact(0), Scalar.exact(0))
@@ -88,14 +85,6 @@ class TestBernsteinBasis:
         with pytest.raises(DomainError):
             bernstein_basis(spec, 1, Scalar.exact(11, 10))
 
-    def test_polynomial_form_matches_pointwise(self, ctx_half):
-        spec = OperatorSpec.plain(4, ctx_half)
-        for k in range(5):
-            poly = basis_polynomial(spec, k)
-            for xf in (Fraction(1, 3), Fraction(2, 3), Fraction(1)):
-                x = Scalar.exact(xf)
-                assert poly.eval(x) == bernstein_basis(spec, k, x)
-
 
 class TestKernelMass:
     def test_examples(self, ctx_half):
@@ -111,11 +100,6 @@ class TestKernelMass:
                 spec = OperatorSpec.plain(n, ctx)
                 for k in range(n + 1):
                     assert kernel_mass(spec, k) == ctx.q_power(k) / ctx.q_int(n + 1)
-
-    def test_classical_unsupported(self):
-        spec = OperatorSpec.classical(3)
-        with pytest.raises(UnsupportedVariantError):
-            kernel_mass(spec, 0)
 
     def test_total_mass_is_one(self, ctx_half):
         # sum_k [n+1] q^-k mass_k p_nk(x) == 1, the operator normalization
@@ -167,6 +151,8 @@ class TestDurrmeyerPolynomial:
         spec = OperatorSpec.stancu(2, ctx_half, Scalar.exact(0), Scalar.exact(0))
         with pytest.raises(UnsupportedVariantError):
             durrmeyer_apply_poly(spec, Polynomial.one(Backend.EXACT))
+        with pytest.raises(UnsupportedVariantError):
+            durrmeyer_apply_fn(spec, FunctionSpec.monomial(0), Scalar.exact(1, 2))
 
     @staticmethod
     def _product_expansion(n, ctx, p):
@@ -411,37 +397,36 @@ class TestStancu:
 class TestClassical:
     def test_examples(self):
         assert classical_durrmeyer_apply(
-            OperatorSpec.classical(3), Polynomial.one(Backend.EXACT)
+            3, Polynomial.one(Backend.EXACT)
         ) == Polynomial.one(Backend.EXACT)
         assert classical_durrmeyer_apply(
-            OperatorSpec.classical(1), Polynomial.monomial(1, Backend.EXACT)
+            1, Polynomial.monomial(1, Backend.EXACT)
         ) == Polynomial.from_fractions([Fraction(1, 3), Fraction(1, 3)])
         assert classical_durrmeyer_apply(
-            OperatorSpec.classical(2), Polynomial.monomial(1, Backend.EXACT)
+            2, Polynomial.monomial(1, Backend.EXACT)
         ) == Polynomial.from_fractions([Fraction(1, 4), Fraction(1, 2)])
 
     def test_first_moment_closed_form(self):
         # (1 + n x) / (n + 2) for every n
         for n in range(1, 9):
-            got = classical_durrmeyer_apply(
-                OperatorSpec.classical(n), Polynomial.monomial(1, Backend.EXACT)
-            )
+            got = classical_durrmeyer_apply(n, Polynomial.monomial(1, Backend.EXACT))
             assert got == Polynomial.from_fractions(
                 [Fraction(1, n + 2), Fraction(n, n + 2)]
             )
 
     def test_polynomial_only(self):
-        spec = OperatorSpec.classical(2)
         with pytest.raises(BackendMismatchError):
-            classical_durrmeyer_apply(spec, Polynomial((Scalar.floating(1.0),)))
+            classical_durrmeyer_apply(2, Polynomial((Scalar.floating(1.0),)))
+
+    def test_degree_must_be_positive(self):
+        with pytest.raises(DomainError):
+            classical_durrmeyer_apply(0, Polynomial.one(Backend.EXACT))
 
     def test_q_to_one_bridge(self):
         # plain image of t at q = 1 - 2^-i approaches the classical image
         # coefficientwise at rate O(1-q)
         for n in range(1, 5):
-            classical = classical_durrmeyer_apply(
-                OperatorSpec.classical(n), Polynomial.monomial(1, Backend.EXACT)
-            )
+            classical = classical_durrmeyer_apply(n, Polynomial.monomial(1, Backend.EXACT))
             prev = None
             for i in (4, 6, 8, 10, 12):
                 q = Fraction(2 ** i - 1, 2 ** i)
