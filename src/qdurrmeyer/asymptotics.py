@@ -31,7 +31,9 @@ from typing import Callable, Sequence, Union
 
 from .errors import BackendMismatchError, DomainError, SingularRemainderError
 from .moments import (
+    CLOSED_MAX_M,
     central_moment,
+    closed_image_ratio,
     raw_moment_brute,
     raw_moment_closed,
     stancu_moment_at,
@@ -155,12 +157,20 @@ def _scaled_deviation(
     f: FunctionSpec, x: Scalar, n: int, ctx: QContext, params, tol, max_terms
 ) -> Scalar:
     """[n]_q (image of f at x - f(x)); plain for params None, else Stancu at (alpha, beta)."""
+    if f.is_polynomial and ctx.backend is Backend.EXACT and len(f.coeffs) <= CLOSED_MAX_M + 1:
+        # one normalisation: [n]_q = S_n / d^(n-1) and f(x) join the unreduced image
+        num, den = closed_image_ratio(n, f.coeffs, ctx, x, *(params or ()))
+        fx = f.evaluate(x).value
+        return Scalar.exact(
+            ctx.q_int_numerator(n) * (num * fx.denominator - fx.numerator * den),
+            ctx.q.value.denominator ** (n - 1) * den * fx.denominator,
+        )
     if f.is_polynomial:
         image = ctx.zero
         for m, c in enumerate(f.coeffs):
             if c.is_zero:
                 continue
-            closed = m <= 4  # the closed moment tables stop at m = 4
+            closed = m <= CLOSED_MAX_M
             if params is None:
                 value = (raw_moment_closed if closed else raw_moment_brute)(n, m, ctx).eval(x)
             else:

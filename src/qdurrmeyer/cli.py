@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 2 usage, 3 numeric-tolerance failure, 4 route or
 identity disagreement.  Output is byte-deterministic for a fixed config on
-the exact backend: rationals serialize through `fractions.Fraction` (the
-"p/q" form), floats as shortest round-trip decimals, rows in fixed order.
+the exact backend: rationals serialize as `str(Fraction)` does (the "p/q"
+form; integers above `_DECIMAL_BITS` bits take a faster route to the same
+text), floats as shortest round-trip decimals, rows in fixed order.
 Every cell is reproducible by calling the module operation the command
 wraps; the CLI itself does no arithmetic.
 """
@@ -110,10 +111,48 @@ def _parse_n_list(text: str) -> list[int]:
     return values
 
 
+# int -> str is quadratic in CPython 3.11; above this size a divide and
+# conquer through decimal's fast multiplication wins (2-core x86-64, 3.11.7)
+_DECIMAL_BITS = 50_000
+_DECIMAL_LEAF_BITS = 2048
+
+
+def _int_text(i: int) -> str:
+    """str(i), by splitting i into binary halves that decimal recombines when i is large."""
+    if i.bit_length() <= _DECIMAL_BITS:
+        return str(i)
+    import decimal  # here, so that start-up does not pay for it
+
+    powers = {}
+
+    def two_to(w: int) -> decimal.Decimal:
+        if w not in powers:
+            powers[w] = (decimal.Decimal(2) ** w if w <= _DECIMAL_LEAF_BITS
+                         else two_to(w // 2) * two_to(w - w // 2))
+        return powers[w]
+
+    def convert(k: int, w: int) -> decimal.Decimal:  # 0 <= k < 2^w
+        if w <= _DECIMAL_LEAF_BITS:
+            return decimal.Decimal(k)
+        half = w // 2
+        hi = k >> half
+        return convert(hi, w - half) * two_to(half) + convert(k - (hi << half), half)
+
+    with decimal.localcontext() as ctx:
+        ctx.prec, ctx.Emax = decimal.MAX_PREC, decimal.MAX_EMAX
+        ctx.traps[decimal.Inexact] = True  # every step must be exact
+        text = str(convert(abs(i), i.bit_length()))
+    return "-" + text if i < 0 else text
+
+
 def _scalar_cell(s: Scalar | None) -> str:
+    """The cell text: str(Fraction) on the exact backend, repr(float) on float."""
     if s is None:
         return ""
-    return str(s.value) if s.is_exact else repr(s.value)
+    if not s.is_exact:
+        return repr(s.value)
+    num, den = s.value.numerator, s.value.denominator
+    return _int_text(num) if den == 1 else f"{_int_text(num)}/{_int_text(den)}"
 
 
 def _polys_agree(a, b, backend: Backend, tol: float) -> bool:
@@ -208,7 +247,7 @@ def _stancu_routes(n: int, m: int, ctx: QContext, opts: dict):
     routes = [("recursion", recursion)]
     if m <= 2:
         routes.append(("closed", stancu_moment(n, m, ctx, alpha, beta, route="closed")))
-    spec = OperatorSpec.stancu(n, ctx, alpha, beta)
+    spec = OperatorSpec(n, ctx, alpha, beta)
     routes.append(("direct", stancu_apply(spec, Polynomial.monomial(m, ctx.backend))))
     return recursion, routes
 
@@ -392,6 +431,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _require_finite(**values: float | None) -> None:
+    """NaN slips past every comparison and inf disables a tolerance: refuse both."""
+    for name, value in values.items():
+        if value is not None and not math.isfinite(value):
+            raise UsageError(f"{name} must be finite, got {value}")
+
+
 def _build_config(args) -> RunConfig:
     backend = Backend(getattr(args, "backend", "exact"))
     cfg = RunConfig(
@@ -406,6 +452,7 @@ def _build_config(args) -> RunConfig:
         opts["ctx"] = QContext(q)
         opts["q"] = q
     if args.command in _MOMENT_TABLES:
+        _require_finite(tol=args.tol)
         if args.tol <= 0:
             raise UsageError("tol must be positive")
         opts["tol"] = args.tol
@@ -447,6 +494,7 @@ def _build_config(args) -> RunConfig:
             opts["alpha"], opts["beta"] = alpha, beta
         elif args.alpha is not None or args.beta is not None:
             raise UsageError("--alpha/--beta only apply to the stancu variant")
+        _require_finite(rtol=args.rtol, floor=args.floor, tol=args.tol)
         if args.rtol <= 0 or args.floor < 0:
             raise UsageError("rtol must be positive and floor nonnegative")
         opts["rtol"], opts["floor"] = args.rtol, args.floor

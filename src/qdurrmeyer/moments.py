@@ -5,7 +5,13 @@ Routes for the raw moments D^q_{n,m}(x) = D_{n,q}(t^m; x):
   brute       kernel sum with exact q-Beta integrals (the oracle); it
               expands (1-x)_q^N by Gauss's formula, costs O(m*n) per
               image and checks that the x^(m+1) coefficient cancels
-  closed      hard-coded closed-form tables for m <= 4
+  closed      closed forms for m <= 4, kept as data: the x^j coefficient is
+              q^(j^2) [n]_q ... [n-j+1]_q c_{m,j}(q) / ([n+2]_q ... [n+m+1]_q)
+              with integer q-polynomials c_{m,j} (`_CLOSED_TABLE`); on the
+              exact backend they are evaluated on integers, writing q = a/d
+              and [k]_q = S_k / d^(k-1), and a Fraction is formed only for
+              each finished coefficient, or once for an image at x = u/v
+              (`closed_image_ratio`)
   recurrence  [n+m+2]_q M_{m+1} = ([m+1]_q + q^(m+1) x [n]_q) M_m
                                    + x(1-x) q^(m+1) D_q(M_m),
               applied under the guard n > m + 2 and filled from the brute
@@ -32,16 +38,17 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import DomainError
+from .errors import BackendMismatchError, DomainError
 from .operators import OperatorSpec, check_stancu_parameters, durrmeyer_apply_poly
 from .polyalg import BivariateExpansion, Polynomial
-from .qcore import QContext, Scalar
+from .qcore import Backend, QContext, Scalar
 
 __all__ = [
     "MomentReport",
     "AuditEntry",
     "raw_moment_brute",
     "raw_moment_closed",
+    "closed_image_ratio",
     "raw_moment_recurrence",
     "recurrence_reports",
     "central_factor_expand",
@@ -137,8 +144,52 @@ def _memo_on_context(fn):
 def raw_moment_brute(n: int, m: int, ctx: QContext) -> Polynomial:
     """Direct kernel sum through exact q-Beta values; oracle for all routes."""
     _validate_nm(n, m)
-    spec = OperatorSpec.plain(n, ctx)
+    spec = OperatorSpec(n, ctx)
     return durrmeyer_apply_poly(spec, Polynomial.monomial(m, ctx.backend))
+
+
+# c_{m,j}(q) as integer coefficient lists in q, constant term first: the x^j
+# coefficient of D(t^m; x) is
+#     q^(j^2) [n]_q [n-1]_q ... [n-j+1]_q c_{m,j}(q) / ([n+2]_q ... [n+m+1]_q).
+# Re-derived from the kernel sums; the quoted forms are `stated_raw_moment`.
+_CLOSED_TABLE = (
+    ((1,),),
+    ((1,), (1,)),
+    ((1, 1), (1, 2, 1), (1,)),  # [2], [2]^2, 1
+    ((1, 2, 2, 1), (1, 3, 5, 5, 3, 1), (1, 2, 3, 2, 1), (1,)),  # [3][2], [2][3]^2, [3]^2, 1
+    (
+        (1, 3, 5, 6, 5, 3, 1),  # [4][3][2]
+        (1, 4, 9, 15, 19, 19, 15, 9, 4, 1),  # [2] (1, 3, 6, 9, 10, 9, 6, 3, 1)
+        (1, 3, 7, 11, 14, 14, 11, 7, 3, 1),
+        (1, 2, 3, 4, 3, 2, 1),
+        (1,),
+    ),
+)
+CLOSED_MAX_M = len(_CLOSED_TABLE) - 1
+
+
+@_memo_on_context
+def _closed_numerators(n: int, m: int, ctx: QContext) -> tuple[int, ...]:
+    """Integers N_j with x^j coefficient N_j / (S_{n+2} ... S_{n+m+1}) in D(t^m; x).
+
+    With q = a/d in lowest terms, [k]_q = S_k / d^(k-1); all powers of d go to
+    the numerators, where their exponent is >= 0 for every n >= 1.
+    """
+    a, d = ctx.q.value.as_integer_ratio()
+    s = ctx.q_int_numerator
+    d_den = sum(n + i - 1 for i in range(2, m + 2))
+    out, falling, d_falling = [], 1, 0
+    for j, c in enumerate(_CLOSED_TABLE[m]):
+        if j and falling:
+            falling *= s(n - j + 1)  # zero once the index reaches 0
+            d_falling += n - j
+        if not falling:
+            out.append(0)
+            continue
+        deg_c = len(c) - 1
+        c_at_q = sum(ci * a ** i * d ** (deg_c - i) for i, ci in enumerate(c))
+        out.append(a ** (j * j) * falling * c_at_q * d ** (d_den - j * j - d_falling - deg_c))
+    return tuple(out)
 
 
 @_memo_on_context
@@ -148,45 +199,90 @@ def raw_moment_closed(n: int, m: int, ctx: QContext) -> Polynomial:
     Relative to the usually quoted tables the x^2 and higher coefficients
     carry different q-powers (q^4, q^9, q^16 leading powers and reworked
     interior q-polynomials); see `transcription_audit` for the comparison
-    against the quoted forms.
+    against the quoted forms.  Exact coefficients come from integer
+    numerators over one denominator, float ones from Scalar arithmetic.
     """
     _validate_nm(n, m)
-    if m > 4:
+    if m > CLOSED_MAX_M:
         raise DomainError("closed tables stop at m = 4; use the recurrence route")
-    ctxq = ctx.q
-    qi = ctx.q_int
-    qp = ctx.q_power
-    if m == 0:
-        return Polynomial.one(ctx.backend)
-    if m == 1:
-        coeffs = [ctx.one, ctxq * qi(n)]
-    elif m == 2:
-        coeffs = [
-            qi(2),
-            ctxq * qi(2) ** 2 * qi(n),
-            qp(4) * _q_falling(n, 2, ctx),
-        ]
-    elif m == 3:
-        coeffs = [
-            qi(3) * qi(2),
-            ctxq * qi(2) * qi(3) ** 2 * qi(n),
-            qp(4) * qi(3) ** 2 * _q_falling(n, 2, ctx),
-            qp(9) * _q_falling(n, 3, ctx),
-        ]
-    else:
-        coeffs = [
-            qi(4) * qi(3) * qi(2),
-            ctxq * qi(2) * qi(n) * _q_weights(ctx, (1, 3, 6, 9, 10, 9, 6, 3, 1)),
-            qp(4)
-            * _q_falling(n, 2, ctx)
-            * _q_weights(ctx, (1, 3, 7, 11, 14, 14, 11, 7, 3, 1)),
-            qp(9) * _q_falling(n, 3, ctx) * _q_weights(ctx, (1, 2, 3, 4, 3, 2, 1)),
-            qp(16) * _q_falling(n, 4, ctx),
-        ]
+    if ctx.backend is Backend.EXACT:
+        den = math.prod(ctx.q_int_numerator(n + i) for i in range(2, m + 2))
+        coeffs = [Scalar.exact(c, den) for c in _closed_numerators(n, m, ctx)]
+        return Polynomial(coeffs, ctx.backend)
     den = ctx.one
-    for j in range(2, m + 2):
-        den = den * qi(n + j)
-    return Polynomial(coeffs, ctx.backend).scale(ctx.one / den)
+    for i in range(2, m + 2):
+        den = den * ctx.q_int(n + i)
+    inv = ctx.one / den
+    coeffs = [
+        ctx.q_power(j * j) * _q_falling(n, j, ctx) * _q_weights(ctx, c) * inv
+        for j, c in enumerate(_CLOSED_TABLE[m])
+    ]
+    return Polynomial(coeffs, ctx.backend)
+
+
+def closed_image_ratio(
+    n: int,
+    coeffs: Sequence[Scalar],
+    ctx: QContext,
+    x: Scalar,
+    alpha: Scalar | None = None,
+    beta: Scalar | None = None,
+) -> tuple[int, int]:
+    """Unreduced (numerator, denominator) of the image of sum_m coeffs[m] t^m at x.
+
+    Exact backend and degree <= 4 only: the closed tables on integers.  With
+    alpha and beta it is the Stancu image, each t^m weighted as in
+    `stancu_moment`.  For x = u/v and degree M the plain moments share the
+    denominator S_{n+2} ... S_{n+M+1} v^M, and with alpha = a1/a2,
+    beta = b1/b2 and [n]_q = S_n / g the Stancu weights share
+    (a2 (S_n b2 + b1 g))^M, so the caller reduces one Fraction per image.
+    """
+    if not (ctx.backend is Backend.EXACT and x.is_exact and all(c.is_exact for c in coeffs)):
+        raise BackendMismatchError("integer moment images need exact scalars")
+    deg = max((m for m, c in enumerate(coeffs) if not c.is_zero), default=0)
+    _validate_nm(n, deg)
+    if deg > CLOSED_MAX_M:
+        raise DomainError("closed tables stop at m = 4; use the recurrence route")
+    if alpha is not None or beta is not None:
+        if alpha is None or beta is None:
+            raise DomainError("stancu parameters alpha and beta come together")
+        check_stancu_parameters(alpha, beta, ctx.backend)
+    u, v = x.value.as_integer_ratio()
+    s = ctx.q_int_numerator
+    # tails[m] = S_{n+m+2} ... S_{n+deg+1}; tails[0] is the shared denominator
+    tails = [1] * (deg + 1)
+    for m in range(deg - 1, -1, -1):
+        tails[m] = tails[m + 1] * s(n + m + 2)
+
+    def plain_at(m: int) -> int:
+        acc = 0
+        for j, c in reversed(list(enumerate(_closed_numerators(n, m, ctx)))):
+            acc = acc * u + c * v ** (m - j)
+        return acc * tails[m] * v ** (deg - m)
+
+    lcm = math.lcm(*(c.value.denominator for c in coeffs))
+    weights = [c.value.numerator * (lcm // c.value.denominator) for c in coeffs[: deg + 1]]
+    if alpha is None:
+        unit = 1
+        images = [plain_at(m) if w else 0 for m, w in enumerate(weights)]
+    else:
+        a1, a2 = alpha.value.as_integer_ratio()
+        b1, b2 = beta.value.as_integer_ratio()
+        sn, g = s(n), ctx.q.value.denominator ** (n - 1)
+        unit = a2 * (sn * b2 + b1 * g)
+        plain = [plain_at(j) for j in range(deg + 1)]
+        # C(m, j) [n]^j alpha^(m-j) / ([n] + beta)^m
+        #     = C(m, j) (a2 sn)^j (a1 g)^(m-j) b2^m / unit^m
+        images = [
+            b2 ** m * sum(
+                math.comb(m, j) * (a2 * sn) ** j * (a1 * g) ** (m - j) * plain[j]
+                for j in range(m + 1)
+            )
+            if w else 0
+            for m, w in enumerate(weights)
+        ]
+    num = sum(w * unit ** (deg - m) * image for m, (w, image) in enumerate(zip(weights, images)))
+    return num, lcm * unit ** deg * tails[0] * v ** deg
 
 
 def _recurrence_step(n: int, m: int, current: Polynomial, ctx: QContext) -> Polynomial:
@@ -314,9 +410,15 @@ def _stancu_terms(n, m, ctx, alpha, beta, raw_route):
 
 
 def stancu_moment_at(n, m, ctx, alpha, beta, x: Scalar, raw_route=ROUTE_BRUTE) -> Scalar:
-    """`stancu_moment(...).eval(x)`, with each plain moment evaluated at x before weighting."""
+    """`stancu_moment(...).eval(x)`, with each plain moment evaluated at x before weighting.
+
+    The exact closed route is one Fraction from `closed_image_ratio`.
+    """
     _validate_nm(n, m)
     check_stancu_parameters(alpha, beta, ctx.backend)
+    if raw_route == ROUTE_CLOSED and ctx.backend is Backend.EXACT:
+        t_m = [ctx.zero] * m + [ctx.one]
+        return Scalar.exact(*closed_image_ratio(n, t_m, ctx, x, alpha, beta))
     terms = _stancu_terms(n, m, ctx, alpha, beta, raw_route)
     return sum((c * p.eval(x) for c, p in terms), ctx.zero)
 

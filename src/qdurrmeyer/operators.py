@@ -78,14 +78,6 @@ class OperatorSpec:
         if self.alpha is not None:
             check_stancu_parameters(self.alpha, self.beta, self.ctx.backend)
 
-    @classmethod
-    def plain(cls, n: int, ctx: QContext) -> "OperatorSpec":
-        return cls(n, ctx)
-
-    @classmethod
-    def stancu(cls, n: int, ctx: QContext, alpha: Scalar, beta: Scalar) -> "OperatorSpec":
-        return cls(n, ctx, alpha, beta)
-
 
 def _check_point(x: Scalar, ctx: QContext):
     if x.backend is not ctx.backend:

@@ -233,10 +233,11 @@ class QContext:
     parallel workers safe.
 
     Exact `q_int(n)` is S_n / d^(n-1), S_n = (d^n - a^n)/(d - a) for q = a/d in
-    lowest terms, cached per index; float `q_int` is a running sum.
+    lowest terms, with S_n cached per index by `q_int_numerator`; float
+    `q_int` is a running sum.
     """
 
-    __slots__ = ("q", "backend", "memo", "_qint", "_qfact", "_qpow")
+    __slots__ = ("q", "backend", "memo", "_qint", "_qnum", "_qfact", "_qpow")
 
     def __init__(self, q: Scalar):
         if not isinstance(q, Scalar):
@@ -248,6 +249,7 @@ class QContext:
         object.__setattr__(self, "memo", {})
         one = Scalar.one(q.backend)
         object.__setattr__(self, "_qint", {0: Scalar.zero(q.backend), 1: one})
+        object.__setattr__(self, "_qnum", {})
         object.__setattr__(self, "_qfact", [one, one])
         object.__setattr__(self, "_qpow", [one, q])
 
@@ -298,8 +300,23 @@ class QContext:
             for k in range(len(table), n + 1):
                 table[k] = table[k - 1] + self.q_power(k - 1)
         elif n not in table:
+            table[n] = Scalar.exact(self.q_int_numerator(n), self.q.value.denominator ** (n - 1))
+        return table[n]
+
+    def q_int_numerator(self, n: int) -> int:
+        """S_n = (d^n - a^n)/(d - a), so that exact [n]_q = S_n / d^(n-1) for q = a/d.
+
+        S_n is congruent to a^(n-1) modulo d, hence prime to d: it is also the
+        numerator of `q_int(n)`.  Exact backend only.
+        """
+        if self.backend is not Backend.EXACT:
+            raise BackendMismatchError("q-integer numerators need the exact backend")
+        if n < 0:
+            raise DomainError("q-integer index must be nonnegative")
+        table = self._qnum
+        if n not in table:
             a, d = self.q.value.as_integer_ratio()
-            table[n] = Scalar.exact((d ** n - a ** n) // (d - a), d ** (n - 1))
+            table[n] = (d ** n - a ** n) // (d - a)
         return table[n]
 
     def q_fact(self, n: int) -> Scalar:

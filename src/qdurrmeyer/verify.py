@@ -122,7 +122,7 @@ def _check_partition_of_unity(ctxs, n_max) -> VerifyEntry:
     bad = []
     for ctx in ctxs:
         for n in range(1, n_max + 1):
-            spec = OperatorSpec.plain(n, ctx)
+            spec = OperatorSpec(n, ctx)
             for xf in _X_GRID_16:
                 x = ctx.scalar(xf)
                 total = ctx.zero
@@ -137,7 +137,7 @@ def _check_kernel_mass(ctxs, n_max) -> VerifyEntry:
     bad = []
     for ctx in ctxs:
         for n in range(1, n_max + 1):
-            spec = OperatorSpec.plain(n, ctx)
+            spec = OperatorSpec(n, ctx)
             for xf in (Fraction(1, 3), Fraction(4, 7)):
                 x = ctx.scalar(xf)
                 total = ctx.zero
@@ -158,7 +158,7 @@ def _check_normalization(ctxs, n_max) -> VerifyEntry:
     for ctx in ctxs:
         one = Polynomial.one(ctx.backend)
         for n in range(1, n_max + 1):
-            if durrmeyer_apply_poly(OperatorSpec.plain(n, ctx), one) != one:
+            if durrmeyer_apply_poly(OperatorSpec(n, ctx), one) != one:
                 bad.append(f"n={n} q={ctx.q}")
     return _entry("normalization", bad)
 
@@ -215,7 +215,7 @@ def _check_stancu_recursion(ctxs) -> VerifyEntry:
         for a, b in ((0, 0), (1, 2), (2, 5)):
             alpha, beta = ctx.scalar(a), ctx.scalar(b)
             for n in range(1, 5):
-                spec = OperatorSpec.stancu(n, ctx, alpha, beta)
+                spec = OperatorSpec(n, ctx, alpha, beta)
                 for m in range(4):
                     direct = stancu_apply(spec, Polynomial.monomial(m, ctx.backend))
                     if direct != stancu_moment(n, m, ctx, alpha, beta):

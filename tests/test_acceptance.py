@@ -67,7 +67,7 @@ def test_criterion_01_normalization():
         ctx = QContext.exact(q)
         one = Polynomial.one(Backend.EXACT)
         for n in range(1, 13):
-            spec = OperatorSpec.plain(n, ctx)
+            spec = OperatorSpec(n, ctx)
             if durrmeyer_apply_poly(spec, one) != one:
                 ok = False
             for xf in X_GRID_16:
@@ -145,15 +145,15 @@ def test_criterion_04_stancu_consistency():
         for a, b in ((0, 0), (1, 2), (2, 5)):
             alpha, beta = ctx.scalar(a), ctx.scalar(b)
             for n in range(1, 7):
-                spec = OperatorSpec.stancu(n, ctx, alpha, beta)
+                spec = OperatorSpec(n, ctx, alpha, beta)
                 for m in range(5):
                     direct = stancu_apply(spec, Polynomial.monomial(m, Backend.EXACT))
                     if direct != stancu_moment(n, m, ctx, alpha, beta):
                         ok = False
         zero = ctx.zero
         for n in range(1, 7):
-            spec = OperatorSpec.stancu(n, ctx, zero, zero)
-            plain = OperatorSpec.plain(n, ctx)
+            spec = OperatorSpec(n, ctx, zero, zero)
+            plain = OperatorSpec(n, ctx)
             for m in range(5):
                 p = Polynomial.monomial(m, Backend.EXACT)
                 if stancu_apply(spec, p) != durrmeyer_apply_poly(plain, p):
@@ -288,7 +288,7 @@ def test_criterion_10_classical_bridge():
             q = Fraction(2 ** i - 1, 2 ** i)
             ctx = QContext.exact(q)
             image = durrmeyer_apply_poly(
-                OperatorSpec.plain(n, ctx), Polynomial.monomial(1, Backend.EXACT)
+                OperatorSpec(n, ctx), Polynomial.monomial(1, Backend.EXACT)
             )
             worst = max(
                 abs(image.coefficient(j) - classical.coefficient(j)) for j in range(2)

@@ -90,10 +90,16 @@ class TestVoronovskajaLhs:
         # the closed-table fast path must equal the brute kernel path
         from qdurrmeyer import OperatorSpec, durrmeyer_apply_poly
 
+        from qdurrmeyer import stancu_apply
+
         p = Polynomial.from_fractions([1, -1, 2, 0, 1])
-        image = durrmeyer_apply_poly(OperatorSpec.plain(6, ctx_half), p)
+        image = durrmeyer_apply_poly(OperatorSpec(6, ctx_half), p)
         expected = ctx_half.q_int(6) * (image.eval(X03) - p.eval(X03))
         assert voronovskaja_lhs(p, X03, 6, ctx_half.q) == expected
+        alpha, beta = Scalar.exact(1, 3), Scalar.exact(1, 2)
+        image = stancu_apply(OperatorSpec(6, ctx_half, alpha, beta), p)
+        expected = ctx_half.q_int(6) * (image.eval(X03) - p.eval(X03))
+        assert voronovskaja_lhs(p, X03, 6, ctx_half.q, "stancu", alpha, beta) == expected
 
     def test_stancu_needs_parameters(self, ctx_half):
         with pytest.raises(DomainError):

@@ -1,9 +1,12 @@
 import hashlib
 import json
+import random
+from fractions import Fraction
 
 import pytest
 
-from qdurrmeyer.cli import main
+from qdurrmeyer import Scalar
+from qdurrmeyer.cli import _DECIMAL_BITS, _int_text, _scalar_cell, main
 
 
 def run(capsys, *argv):
@@ -213,6 +216,30 @@ class TestVoronovskajaCommand:
         assert out == ""
         assert "usage error" in err
 
+    @pytest.mark.parametrize(
+        "flag",
+        [("--rtol", "nan"), ("--floor", "nan"), ("--tol", "nan"), ("--tol", "inf"),
+         ("--rtol", "inf"), ("--floor", "inf")],
+    )
+    def test_non_finite_options_are_usage_errors(self, capsys, flag):
+        code, out, err = run(
+            capsys,
+            "voronovskaja",
+            "--f", "exp", "--backend", "float", "--x", "0.3", "--n-list", "4,8",
+            *flag,
+        )
+        assert code == 2
+        assert out == ""
+        assert "usage error" in err and "finite" in err
+
+    def test_non_finite_moment_tolerance_is_usage_error(self, capsys):
+        code, out, err = run(
+            capsys, "moments", "--n", "3", "--q", "0.5", "--backend", "float", "--tol", "nan"
+        )
+        assert code == 2
+        assert out == ""
+        assert "usage error" in err
+
     def test_exact_json_is_deterministic(self, tmp_path, capsys):
         args = [
             "voronovskaja", "--f", "t", "--x", "1/2",
@@ -227,6 +254,26 @@ class TestVoronovskajaCommand:
         assert set(payload) == {"config", "rows", "verdict"}
         # x = 1/2 with f = t is the symmetry point: target is exactly 0
         assert all(row["rhs_limit"] == "0" for row in payload["rows"])
+
+
+class TestIntText:
+    """Large ints print by divide and conquer; the text must be str()'s."""
+
+    def test_equals_str(self):
+        rng = random.Random(8)
+        cases = [0, 1, -1, 10 ** 30_103, 10 ** 30_103 - 1, (1 << 300_000) - 1, 1 << 300_000]
+        for bits in (_DECIMAL_BITS - 1, _DECIMAL_BITS, _DECIMAL_BITS + 1, 100_000, 300_000):
+            k = rng.getrandbits(bits) | (1 << (bits - 1))  # exactly `bits` long
+            cases += [k, -k]
+        for i in cases:
+            assert _int_text(i) == str(i), i.bit_length()
+
+    def test_cell_equals_str_of_fraction(self):
+        rng = random.Random(9)
+        num = -(rng.getrandbits(120_000) | 1)
+        for den in (1, rng.getrandbits(90_000) | 1):
+            value = Fraction(num, den)
+            assert _scalar_cell(Scalar.exact(value)) == str(value)
 
 
 class TestRemainderCommand:
@@ -328,6 +375,19 @@ BENCHMARK_SCALE_EXAMPLES = [
 ]
 
 
+# stdout sha256 of exact voronovskaja rows captured while every row was
+# still assembled from Fraction arithmetic and printed with str(); the bench
+# runs neither command
+INTEGER_ROW_EXAMPLES = [
+    ("voronovskaja --f t3 --x 3/10 --variant stancu --alpha 1/3 --beta 1/2 "
+     "--q-seq one-minus-inv-n-squared --n-list 8,64,512", 0,
+     "69b2fe84bedc748f0cbd825ab413a96968f90cd6a0ca1c96041b84be29b14255"),
+    ("voronovskaja --f t3 --x 3/10 --q-seq one-minus-inv-n-squared "
+     "--n-list 8,16,32,64,128,256,512,1024", 0,
+     "65829d414491e73f9f58af676df4c82337caedaa05d11b959036b0ae59eee15a"),
+]
+
+
 def assert_pinned(capsys, command, exit_code, digest):
     code, out, _ = run(capsys, *command.split())
     assert code == exit_code
@@ -341,4 +401,9 @@ def test_readme_example_output_is_pinned(capsys, command, exit_code, digest):
 
 @pytest.mark.parametrize("command, exit_code, digest", BENCHMARK_SCALE_EXAMPLES)
 def test_benchmark_scale_output_is_pinned(capsys, command, exit_code, digest):
+    assert_pinned(capsys, command, exit_code, digest)
+
+
+@pytest.mark.parametrize("command, exit_code, digest", INTEGER_ROW_EXAMPLES)
+def test_integer_row_output_is_pinned(capsys, command, exit_code, digest):
     assert_pinned(capsys, command, exit_code, digest)

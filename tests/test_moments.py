@@ -1,4 +1,5 @@
 import gc
+import math
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from qdurrmeyer import (
     Backend,
+    BackendMismatchError,
     DomainError,
     FunctionSpec,
     OperatorSpec,
@@ -29,6 +31,7 @@ from qdurrmeyer.asymptotics import QSequence, convergence_table
 from qdurrmeyer.moments import (
     MomentReport,
     central_identity_coefficients,
+    closed_image_ratio,
     recurrence_reports,
     stated_central_factor,
     stated_central_moment,
@@ -107,14 +110,14 @@ class TestRawMoments:
         # as float residue above the theoretical degree min(m, n)
         ctx = QContext.floating(0.85)
         for n in (3, 6):
-            stancu = OperatorSpec.stancu(n, ctx, Scalar.floating(1.0), Scalar.floating(2.0))
+            stancu = OperatorSpec(n, ctx, Scalar.floating(1.0), Scalar.floating(2.0))
             rec = raw_moment_recurrence(n, 4, ctx)
             for m in range(5):
                 brute = raw_moment_brute(n, m, ctx)
                 assert brute.degree <= min(m, n)
                 t_m = Polynomial.monomial(m, Backend.FLOAT)
                 assert stancu_apply(stancu, t_m).degree <= min(m, n)
-                plain = durrmeyer_apply_poly(OperatorSpec.plain(n, ctx), t_m)
+                plain = durrmeyer_apply_poly(OperatorSpec(n, ctx), t_m)
                 for poly in (raw_moment_closed(n, m, ctx), rec[m], plain):
                     assert poly.degree <= min(m, n)
                     worst = max(
@@ -122,6 +125,88 @@ class TestRawMoments:
                         for i in range(m + 1)
                     )
                     assert worst < 1e-12
+
+
+class TestIntegerClosedTable:
+    """The closed tables evaluated on integer numerators over powers of d."""
+
+    @pytest.mark.parametrize("n", [256, 1024])
+    def test_equals_recurrence_along_one_minus_inv_n_squared(self, n):
+        ctx = QContext.exact(n * n - 1, n * n)
+        rec = raw_moment_recurrence(n, 4, ctx)
+        for m in range(5):
+            assert raw_moment_closed(n, m, ctx) == rec[m], m
+
+    @pytest.mark.parametrize("n", [8, 64, 256])
+    def test_values_at_x_equal_polynomial_routes(self, n):
+        ctx = QContext.exact(n * n - 1, n * n)
+        params = [(0, 0), (1, 2), (Fraction(1, 3), Fraction(1, 2))]
+        for x in (Scalar.exact(25, 128), Scalar.exact(3, 10)):
+            for m in range(5):
+                t_m = [ctx.zero] * m + [ctx.one]
+                plain = raw_moment_closed(n, m, ctx).eval(x)
+                assert Fraction(*closed_image_ratio(n, t_m, ctx, x)) == plain.value
+                for a, b in params:
+                    alpha, beta = ctx.scalar(a), ctx.scalar(b)
+                    poly = stancu_moment(n, m, ctx, alpha, beta, raw_route="closed")
+                    got = stancu_moment_at(n, m, ctx, alpha, beta, x, "closed")
+                    assert type(got.value) is Fraction and got == poly.eval(x), (m, a, b)
+
+    def test_polynomial_image_on_one_denominator(self):
+        # fractional coefficients with a zero among them share one lcm
+        ctx = QContext.exact(63, 64)
+        coeffs = [ctx.scalar(Fraction(c)) for c in ("1/3", "-2", "0", "5/7", "1/2")]
+        x = Scalar.exact(3, 10)
+        for params in ((), (ctx.scalar(Fraction(1, 3)), ctx.scalar(Fraction(1, 2)))):
+            want = sum(
+                (c * stancu_moment(8, m, ctx, *params, raw_route="closed").eval(x)
+                 if params else c * raw_moment_closed(8, m, ctx).eval(x)
+                 for m, c in enumerate(coeffs)),
+                ctx.zero,
+            )
+            assert Fraction(*closed_image_ratio(8, coeffs, ctx, x, *params)) == want.value
+
+    def test_refuses_what_the_tables_do_not_cover(self, ctx_half):
+        x = Scalar.exact(1, 3)
+        with pytest.raises(DomainError):
+            closed_image_ratio(4, [ctx_half.zero] * 5 + [ctx_half.one], ctx_half, x)
+        with pytest.raises(DomainError):
+            closed_image_ratio(4, [ctx_half.one], ctx_half, x, alpha=ctx_half.one)
+        with pytest.raises(BackendMismatchError):
+            closed_image_ratio(4, [ctx_half.one], ctx_half, Scalar.floating(0.5))
+        ctx = QContext.floating(0.5)
+        with pytest.raises(BackendMismatchError):
+            closed_image_ratio(4, [ctx.one], ctx, Scalar.floating(0.5))
+
+    @pytest.mark.parametrize("n", [8, 64, 1024])
+    def test_float_tables_match_exact_ones(self, n):
+        # dyadic q, so both backends see the same q
+        for q in (Fraction(1, 2), Fraction(n * n - 1, n * n)):
+            exact, floating = QContext.exact(q), QContext.floating(float(q))
+            for m in range(5):
+                want = raw_moment_closed(n, m, exact)
+                got = raw_moment_closed(n, m, floating)
+                assert got.degree <= m
+                worst = max(
+                    abs(got.coefficient(i).value - float(want.coefficient(i).value))
+                    for i in range(m + 1)
+                )
+                assert worst < 1e-12, (q, m)
+
+    @pytest.mark.parametrize("variant", ["plain", "stancu"])
+    def test_one_row_needs_few_gcd_calls(self, monkeypatch, variant):
+        # every Fraction normalisation calls math.gcd; a row built on integers
+        # reduces once, where per-moment Fraction arithmetic made hundreds
+        n = 1024
+        f, x = FunctionSpec.monomial(4), Scalar.exact(3, 10)
+        q = Scalar.exact(n * n - 1, n * n)
+        params = (Scalar.exact(1), Scalar.exact(2)) if variant == "stancu" else (None, None)
+        calls = []
+        real_gcd = math.gcd
+        monkeypatch.setattr(math, "gcd", lambda *a: calls.append(a) or real_gcd(*a))
+        voronovskaja_lhs(f, x, n, q, variant, *params)
+        monkeypatch.undo()
+        assert len(calls) <= 20  # 237 (plain) and 395 (stancu) with Fraction steps
 
 
 class TestRecurrence:

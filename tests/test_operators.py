@@ -31,35 +31,35 @@ from conftest import Q_GRID, X_GRID_16
 class TestOperatorSpec:
     def test_validation(self, ctx_half):
         with pytest.raises(DomainError):
-            OperatorSpec.plain(0, ctx_half)
+            OperatorSpec(0, ctx_half)
         with pytest.raises(DomainError):
-            OperatorSpec.stancu(2, ctx_half, Scalar.exact(3), Scalar.exact(1))
+            OperatorSpec(2, ctx_half, Scalar.exact(3), Scalar.exact(1))
         with pytest.raises(DomainError):
             OperatorSpec(2, ctx_half, alpha=Scalar.exact(1))
         with pytest.raises(DomainError):
             OperatorSpec(2, ctx_half, beta=Scalar.exact(1))
 
     def test_stancu_accepts_boundary(self, ctx_half):
-        OperatorSpec.stancu(2, ctx_half, Scalar.exact(0), Scalar.exact(0))
-        OperatorSpec.stancu(2, ctx_half, Scalar.exact(2), Scalar.exact(2))
+        OperatorSpec(2, ctx_half, Scalar.exact(0), Scalar.exact(0))
+        OperatorSpec(2, ctx_half, Scalar.exact(2), Scalar.exact(2))
 
 
 class TestBernsteinBasis:
     def test_endpoint_examples(self, ctx_half):
-        spec = OperatorSpec.plain(3, ctx_half)
+        spec = OperatorSpec(3, ctx_half)
         assert bernstein_basis(spec, 0, Scalar.exact(0)) == 1
         assert bernstein_basis(spec, 3, Scalar.exact(1)) == 1
 
     def test_interior_value(self, ctx_half):
         # [2;1]_q x (1-x) at x = 1/2: (3/2)(1/2)(1/2)
-        spec = OperatorSpec.plain(2, ctx_half)
+        spec = OperatorSpec(2, ctx_half)
         assert bernstein_basis(spec, 1, Scalar.exact(1, 2)) == Fraction(3, 8)
 
     def test_partition_of_unity(self):
         for q in Q_GRID:
             ctx = QContext.exact(q)
             for n in range(1, 21):
-                spec = OperatorSpec.plain(n, ctx)
+                spec = OperatorSpec(n, ctx)
                 for xf in X_GRID_16:
                     x = Scalar.exact(xf)
                     total = ctx.zero
@@ -68,27 +68,27 @@ class TestBernsteinBasis:
                     assert total == 1, (n, q, xf)
 
     def test_nonnegative_on_unit_interval(self, ctx_half):
-        spec = OperatorSpec.plain(6, ctx_half)
+        spec = OperatorSpec(6, ctx_half)
         for xf in X_GRID_16:
             for k in range(7):
                 assert bernstein_basis(spec, k, Scalar.exact(xf)) >= 0
 
     def test_index_range(self, ctx_half):
-        spec = OperatorSpec.plain(3, ctx_half)
+        spec = OperatorSpec(3, ctx_half)
         with pytest.raises(DomainError):
             bernstein_basis(spec, 4, Scalar.exact(1, 2))
         with pytest.raises(DomainError):
             bernstein_basis(spec, -1, Scalar.exact(1, 2))
 
     def test_x_outside_unit_interval_rejected(self, ctx_half):
-        spec = OperatorSpec.plain(3, ctx_half)
+        spec = OperatorSpec(3, ctx_half)
         with pytest.raises(DomainError):
             bernstein_basis(spec, 1, Scalar.exact(11, 10))
 
 
 class TestKernelMass:
     def test_examples(self, ctx_half):
-        spec = OperatorSpec.plain(2, ctx_half)
+        spec = OperatorSpec(2, ctx_half)
         assert kernel_mass(spec, 0) == Fraction(4, 7)
         assert kernel_mass(spec, 1) == Fraction(2, 7)
         assert kernel_mass(spec, 2) == Fraction(1, 7)
@@ -97,14 +97,14 @@ class TestKernelMass:
         for q in Q_GRID:
             ctx = QContext.exact(q)
             for n in range(1, 9):
-                spec = OperatorSpec.plain(n, ctx)
+                spec = OperatorSpec(n, ctx)
                 for k in range(n + 1):
                     assert kernel_mass(spec, k) == ctx.q_power(k) / ctx.q_int(n + 1)
 
     def test_total_mass_is_one(self, ctx_half):
         # sum_k [n+1] q^-k mass_k p_nk(x) == 1, the operator normalization
         for n in (1, 4, 7):
-            spec = OperatorSpec.plain(n, ctx_half)
+            spec = OperatorSpec(n, ctx_half)
             x = Scalar.exact(5, 9)
             total = ctx_half.zero
             for k in range(n + 1):
@@ -119,19 +119,19 @@ class TestKernelMass:
 
 class TestDurrmeyerPolynomial:
     def test_constant_preserved(self, ctx_half):
-        spec = OperatorSpec.plain(2, ctx_half)
+        spec = OperatorSpec(2, ctx_half)
         assert durrmeyer_apply_poly(spec, Polynomial.one(Backend.EXACT)) == Polynomial.one(
             Backend.EXACT
         )
 
     def test_first_moment_example(self, ctx_half):
-        spec = OperatorSpec.plain(2, ctx_half)
+        spec = OperatorSpec(2, ctx_half)
         image = durrmeyer_apply_poly(spec, Polynomial.monomial(1, Backend.EXACT))
         assert image == Polynomial.from_fractions([Fraction(8, 15), Fraction(2, 5)])
         assert image.eval(Scalar.exact(1, 2)) == Fraction(11, 15)
 
     def test_linearity(self, ctx_half):
-        spec = OperatorSpec.plain(3, ctx_half)
+        spec = OperatorSpec(3, ctx_half)
         p = Polynomial.from_fractions([1, -2, 3])
         g = Polynomial.from_fractions([0, 1, 0, 2])
         combo = p.scale(Scalar.exact(2, 3)) + g.scale(Scalar.exact(-5))
@@ -142,13 +142,13 @@ class TestDurrmeyerPolynomial:
 
     def test_degree_bound(self, ctx_half):
         for n in (1, 2, 5):
-            spec = OperatorSpec.plain(n, ctx_half)
+            spec = OperatorSpec(n, ctx_half)
             for m in range(7):
                 image = durrmeyer_apply_poly(spec, Polynomial.monomial(m, Backend.EXACT))
                 assert image.degree <= min(m, n)
 
     def test_variant_guard(self, ctx_half):
-        spec = OperatorSpec.stancu(2, ctx_half, Scalar.exact(0), Scalar.exact(0))
+        spec = OperatorSpec(2, ctx_half, Scalar.exact(0), Scalar.exact(0))
         with pytest.raises(UnsupportedVariantError):
             durrmeyer_apply_poly(spec, Polynomial.one(Backend.EXACT))
         with pytest.raises(UnsupportedVariantError):
@@ -175,7 +175,7 @@ class TestDurrmeyerPolynomial:
         for q in (Fraction(1, 2), Fraction(13, 16), Fraction(2, 7)):
             ctx = QContext.exact(q)
             for n in range(1, 11):
-                spec = OperatorSpec.plain(n, ctx)
+                spec = OperatorSpec(n, ctx)
                 for _ in range(2):
                     deg = rng.randint(0, n + 2)
                     p = Polynomial.from_fractions(
@@ -194,19 +194,19 @@ class TestDurrmeyerPolynomial:
 
         monkeypatch.setattr(operators, "q_beta", perturbed)
         with pytest.raises(ArithmeticError):
-            durrmeyer_apply_poly(OperatorSpec.plain(n, ctx_half), Polynomial.one(Backend.EXACT))
+            durrmeyer_apply_poly(OperatorSpec(n, ctx_half), Polynomial.one(Backend.EXACT))
 
 
 class TestDurrmeyerFunction:
     def test_constant_float_path(self):
         ctx = QContext.floating(0.5)
-        spec = OperatorSpec.plain(4, ctx)
+        spec = OperatorSpec(4, ctx)
         one = FunctionSpec.polynomial([Scalar.floating(1.0)])
         got = durrmeyer_apply_fn(spec, one, Scalar.floating(0.37))
         assert abs(float(got) - 1.0) < 1e-12
 
     def test_polynomial_delegates_to_exact_path(self, ctx_half):
-        spec = OperatorSpec.plain(2, ctx_half)
+        spec = OperatorSpec(2, ctx_half)
         got = durrmeyer_apply_fn(spec, FunctionSpec.monomial(1), Scalar.exact(1, 2))
         assert got == Fraction(11, 15)
         assert durrmeyer_apply_fn(spec, FunctionSpec.monomial(2), Scalar.exact(1)) == (
@@ -216,7 +216,7 @@ class TestDurrmeyerFunction:
     def test_series_path_matches_exact_path(self):
         # black-box t^2 via a tabulated function against the q-Beta route
         ctx = QContext.floating(0.5)
-        spec = OperatorSpec.plain(3, ctx)
+        spec = OperatorSpec(3, ctx)
         x = Scalar.floating(0.4)
         exact = durrmeyer_apply_fn(spec, FunctionSpec.monomial(2, Backend.FLOAT), x)
 
@@ -229,7 +229,7 @@ class TestDurrmeyerFunction:
 
     def test_positivity(self):
         ctx = QContext.floating(0.5)
-        spec = OperatorSpec.plain(5, ctx)
+        spec = OperatorSpec(5, ctx)
         for name in ("exp", "abs-shift", "reciprocal-shift"):
             got = durrmeyer_apply_fn(spec, FunctionSpec.builtin(name), Scalar.floating(0.62))
             assert float(got) >= 0.0
@@ -237,7 +237,7 @@ class TestDurrmeyerFunction:
     def test_endpoint_reduces_to_single_kernel(self):
         ctx = QContext.floating(0.5)
         n = 4
-        spec = OperatorSpec.plain(n, ctx)
+        spec = OperatorSpec(n, ctx)
         f = FunctionSpec.builtin("exp")
         got = durrmeyer_apply_fn(spec, f, Scalar.floating(0.0))
 
@@ -254,7 +254,7 @@ class TestDurrmeyerFunction:
 
     def test_truncation_error_carries_kernel_index(self):
         ctx = QContext.floating(0.999)
-        spec = OperatorSpec.plain(2, ctx)
+        spec = OperatorSpec(2, ctx)
         with pytest.raises(JacksonTruncationError) as err:
             durrmeyer_apply_fn(spec, FunctionSpec.builtin("exp"), Scalar.floating(0.5), max_terms=5)
         assert err.value.basis_index is not None
@@ -281,7 +281,7 @@ def boxed_lhs(f, x, n, q, max_terms=4096):
     """[n]_q (D_{n,q}(f; x) - f(x)) by a kernel sum of its own for this x alone,
     on boxed Scalars; a truncated series gives the error text instead."""
     ctx = QContext(q)
-    spec = OperatorSpec.plain(n, ctx)
+    spec = OperatorSpec(n, ctx)
     total = ctx.zero
     for k in range(n + 1):
         base = bernstein_basis(spec, k, x)
@@ -333,7 +333,7 @@ class TestSharedKernelIntegrals:
             want = boxed_lhs(f, Scalar.floating(float(x)), int(n), Scalar.floating(float(q)), 2)
             assert lhs == ("error:" + want).replace(",", ";")
         # on one context the second x re-raises the memoized error
-        spec = OperatorSpec.plain(4, QContext.floating(0.75))
+        spec = OperatorSpec(4, QContext.floating(0.75))
         for x in GRID_X:
             with pytest.raises(JacksonTruncationError) as err:
                 durrmeyer_apply_fn(spec, f, x, max_terms=2)
@@ -342,25 +342,25 @@ class TestSharedKernelIntegrals:
 
 class TestStancu:
     def test_zero_parameters_collapse_to_plain(self, ctx_half):
-        spec = OperatorSpec.stancu(3, ctx_half, Scalar.exact(0), Scalar.exact(0))
-        plain = OperatorSpec.plain(3, ctx_half)
+        spec = OperatorSpec(3, ctx_half, Scalar.exact(0), Scalar.exact(0))
+        plain = OperatorSpec(3, ctx_half)
         for m in range(5):
             p = Polynomial.monomial(m, Backend.EXACT)
             assert stancu_apply(spec, p) == durrmeyer_apply_poly(plain, p)
 
     def test_constant_preserved(self, ctx_half):
-        spec = OperatorSpec.stancu(2, ctx_half, Scalar.exact(1), Scalar.exact(2))
+        spec = OperatorSpec(2, ctx_half, Scalar.exact(1), Scalar.exact(2))
         assert stancu_apply(spec, Polynomial.one(Backend.EXACT)) == Polynomial.one(Backend.EXACT)
 
     def test_first_moment_at_origin(self, ctx_half):
-        spec = OperatorSpec.stancu(2, ctx_half, Scalar.exact(1), Scalar.exact(2))
+        spec = OperatorSpec(2, ctx_half, Scalar.exact(1), Scalar.exact(2))
         assert stancu_apply(
             spec, Polynomial.monomial(1, Backend.EXACT), Scalar.exact(0)
         ) == Fraction(18, 35)
 
     def test_function_path_matches_polynomial_path(self):
         ctx = QContext.floating(0.5)
-        spec = OperatorSpec.stancu(3, ctx, Scalar.floating(1.0), Scalar.floating(2.0))
+        spec = OperatorSpec(3, ctx, Scalar.floating(1.0), Scalar.floating(2.0))
         x = Scalar.floating(0.3)
         exact = stancu_apply(spec, Polynomial.monomial(2, Backend.FLOAT), x)
 
@@ -384,12 +384,12 @@ class TestStancu:
             for q in (1.0 - 1.0 / n, 1.0 - float(n) ** -2, 0.9):
                 for ab in (0.1, 0.5, 1.0):
                     ab = Scalar.floating(ab)
-                    spec = OperatorSpec.stancu(n, QContext.floating(q), ab, ab)
+                    spec = OperatorSpec(n, QContext.floating(q), ab, ab)
                     with pytest.raises(JacksonTruncationError):
                         stancu_apply(spec, f, Scalar.floating(0.5), tol=1e-300, max_terms=1)
 
     def test_needs_stancu_variant(self, ctx_half):
-        plain = OperatorSpec.plain(2, ctx_half)
+        plain = OperatorSpec(2, ctx_half)
         with pytest.raises(UnsupportedVariantError):
             stancu_apply(plain, Polynomial.one(Backend.EXACT))
 
@@ -432,7 +432,7 @@ class TestClassical:
                 q = Fraction(2 ** i - 1, 2 ** i)
                 ctx = QContext.exact(q)
                 image = durrmeyer_apply_poly(
-                    OperatorSpec.plain(n, ctx), Polynomial.monomial(1, Backend.EXACT)
+                    OperatorSpec(n, ctx), Polynomial.monomial(1, Backend.EXACT)
                 )
                 worst = max(
                     abs(image.coefficient(j) - classical.coefficient(j)) for j in range(2)

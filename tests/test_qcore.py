@@ -89,6 +89,10 @@ class TestQInteger:
         for ctx in (ctx_half, QContext.floating(0.5)):
             with pytest.raises(DomainError):
                 ctx.q_int(-1)
+        with pytest.raises(DomainError):
+            QContext.exact(1, 2).q_int_numerator(-1)
+        with pytest.raises(BackendMismatchError):
+            QContext.floating(0.5).q_int_numerator(3)
 
     def test_recursion_identities(self, ctx_grid):
         # [n+1]_q = [n]_q + q^n = 1 + q [n]_q, exactly, for n <= 64
@@ -111,6 +115,8 @@ class TestQInteger:
                 got = ctx.q_int(n)
                 assert type(got.value) is Fraction and got.backend is Backend.EXACT
                 assert got == total
+                # S_n is prime to d, so it is the reduced numerator of [n]_q
+                assert ctx.q_int_numerator(n) == total.numerator
             total, power = total + power, power * q
 
     def test_exact_q_int_keeps_no_additive_table(self):
