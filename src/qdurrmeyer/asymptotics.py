@@ -32,8 +32,8 @@ from typing import Callable, Sequence, Union
 from .errors import BackendMismatchError, DomainError, SingularRemainderError
 from .moments import (
     CLOSED_MAX_M,
+    _closed_scaled_deviation,
     central_moment,
-    closed_image_ratio,
     raw_moment_brute,
     raw_moment_closed,
     stancu_moment_at,
@@ -158,13 +158,7 @@ def _scaled_deviation(
 ) -> Scalar:
     """[n]_q (image of f at x - f(x)); plain for params None, else Stancu at (alpha, beta)."""
     if f.is_polynomial and ctx.backend is Backend.EXACT and len(f.coeffs) <= CLOSED_MAX_M + 1:
-        # one normalisation: [n]_q = S_n / d^(n-1) and f(x) join the unreduced image
-        num, den = closed_image_ratio(n, f.coeffs, ctx, x, *(params or ()))
-        fx = f.evaluate(x).value
-        return Scalar.exact(
-            ctx.q_int_numerator(n) * (num * fx.denominator - fx.numerator * den),
-            ctx.q.value.denominator ** (n - 1) * den * fx.denominator,
-        )
+        return _closed_scaled_deviation(n, f.coeffs, ctx, x, params)
     if f.is_polynomial:
         image = ctx.zero
         for m, c in enumerate(f.coeffs):

@@ -10,8 +10,8 @@ Routes for the raw moments D^q_{n,m}(x) = D_{n,q}(t^m; x):
               with integer q-polynomials c_{m,j} (`_CLOSED_TABLE`); on the
               exact backend they are evaluated on integers, writing q = a/d
               and [k]_q = S_k / d^(k-1), and a Fraction is formed only for
-              each finished coefficient, or once for an image at x = u/v
-              (`closed_image_ratio`)
+              each finished coefficient, or once for a scaled deviation
+              [n]_q (image - p(x)) at x = u/v (`_closed_scaled_deviation`)
   recurrence  [n+m+2]_q M_{m+1} = ([m+1]_q + q^(m+1) x [n]_q) M_m
                                    + x(1-x) q^(m+1) D_q(M_m),
               applied under the guard n > m + 2 and filled from the brute
@@ -48,7 +48,6 @@ __all__ = [
     "AuditEntry",
     "raw_moment_brute",
     "raw_moment_closed",
-    "closed_image_ratio",
     "raw_moment_recurrence",
     "recurrence_reports",
     "central_factor_expand",
@@ -204,7 +203,7 @@ def raw_moment_closed(n: int, m: int, ctx: QContext) -> Polynomial:
     """
     _validate_nm(n, m)
     if m > CLOSED_MAX_M:
-        raise DomainError("closed tables stop at m = 4; use the recurrence route")
+        raise DomainError(f"closed tables stop at m = {CLOSED_MAX_M}; use the recurrence route")
     if ctx.backend is Backend.EXACT:
         den = math.prod(ctx.q_int_numerator(n + i) for i in range(2, m + 2))
         coeffs = [Scalar.exact(c, den) for c in _closed_numerators(n, m, ctx)]
@@ -220,35 +219,29 @@ def raw_moment_closed(n: int, m: int, ctx: QContext) -> Polynomial:
     return Polynomial(coeffs, ctx.backend)
 
 
-def closed_image_ratio(
-    n: int,
-    coeffs: Sequence[Scalar],
-    ctx: QContext,
-    x: Scalar,
-    alpha: Scalar | None = None,
-    beta: Scalar | None = None,
-) -> tuple[int, int]:
-    """Unreduced (numerator, denominator) of the image of sum_m coeffs[m] t^m at x.
+def _closed_scaled_deviation(
+    n: int, coeffs: Sequence[Scalar], ctx: QContext, x: Scalar, params
+) -> Scalar:
+    """[n]_q (image of p = sum_m coeffs[m] t^m at x, minus p(x)), as one Fraction.
 
-    Exact backend and degree <= 4 only: the closed tables on integers.  With
-    alpha and beta it is the Stancu image, each t^m weighted as in
-    `stancu_moment`.  For x = u/v and degree M the plain moments share the
-    denominator S_{n+2} ... S_{n+M+1} v^M, and with alpha = a1/a2,
-    beta = b1/b2 and [n]_q = S_n / g the Stancu weights share
-    (a2 (S_n b2 + b1 g))^M, so the caller reduces one Fraction per image.
+    Exact backend and degree <= 4 only: the closed tables on integers.  The
+    image is plain for params None, else Stancu at params = (alpha, beta),
+    each t^m weighted as in `stancu_moment`.  For x = u/v and degree M the
+    plain moments share the denominator S_{n+2} ... S_{n+M+1} v^M, and with
+    alpha = a1/a2, beta = b1/b2 and [n]_q = S_n / g, g = d^(n-1), the Stancu
+    weights share (a2 (S_n b2 + b1 g))^M, so only the result is reduced.
     """
     if not (ctx.backend is Backend.EXACT and x.is_exact and all(c.is_exact for c in coeffs)):
         raise BackendMismatchError("integer moment images need exact scalars")
     deg = max((m for m, c in enumerate(coeffs) if not c.is_zero), default=0)
     _validate_nm(n, deg)
     if deg > CLOSED_MAX_M:
-        raise DomainError("closed tables stop at m = 4; use the recurrence route")
-    if alpha is not None or beta is not None:
-        if alpha is None or beta is None:
-            raise DomainError("stancu parameters alpha and beta come together")
-        check_stancu_parameters(alpha, beta, ctx.backend)
+        raise DomainError(f"closed tables stop at m = {CLOSED_MAX_M}; use the recurrence route")
+    if params is not None:
+        check_stancu_parameters(*params, ctx.backend)
     u, v = x.value.as_integer_ratio()
     s = ctx.q_int_numerator
+    sn, g = s(n), ctx.q.value.denominator ** (n - 1)
     # tails[m] = S_{n+m+2} ... S_{n+deg+1}; tails[0] is the shared denominator
     tails = [1] * (deg + 1)
     for m in range(deg - 1, -1, -1):
@@ -262,13 +255,12 @@ def closed_image_ratio(
 
     lcm = math.lcm(*(c.value.denominator for c in coeffs))
     weights = [c.value.numerator * (lcm // c.value.denominator) for c in coeffs[: deg + 1]]
-    if alpha is None:
+    if params is None:
         unit = 1
         images = [plain_at(m) if w else 0 for m, w in enumerate(weights)]
     else:
-        a1, a2 = alpha.value.as_integer_ratio()
-        b1, b2 = beta.value.as_integer_ratio()
-        sn, g = s(n), ctx.q.value.denominator ** (n - 1)
+        a1, a2 = params[0].value.as_integer_ratio()
+        b1, b2 = params[1].value.as_integer_ratio()
         unit = a2 * (sn * b2 + b1 * g)
         plain = [plain_at(j) for j in range(deg + 1)]
         # C(m, j) [n]^j alpha^(m-j) / ([n] + beta)^m
@@ -281,8 +273,10 @@ def closed_image_ratio(
             if w else 0
             for m, w in enumerate(weights)
         ]
-    num = sum(w * unit ** (deg - m) * image for m, (w, image) in enumerate(zip(weights, images)))
-    return num, lcm * unit ** deg * tails[0] * v ** deg
+    common = unit ** deg * tails[0]
+    image = sum(w * unit ** (deg - m) * im for m, (w, im) in enumerate(zip(weights, images)))
+    p_at_x = sum(w * u ** m * v ** (deg - m) for m, w in enumerate(weights))
+    return Scalar.exact(sn * (image - p_at_x * common), g * lcm * common * v ** deg)
 
 
 def _recurrence_step(n: int, m: int, current: Polynomial, ctx: QContext) -> Polynomial:
@@ -383,8 +377,8 @@ def central_moment(n: int, m: int, ctx: QContext, route: str = ROUTE_EXPANSION) 
         images = [raw_moment_brute(n, j, ctx) for j in range(m + 1)]
         return expansion.contract(images)
     if route == ROUTE_CLOSED:
-        if m > 4:
-            raise DomainError("closed central moments stop at m = 4")
+        if m > CLOSED_MAX_M:
+            raise DomainError(f"closed central moments stop at m = {CLOSED_MAX_M}")
         total = Polynomial.zero(ctx.backend)
         for j, cj in enumerate(central_identity_coefficients(m, ctx)):
             weight = Polynomial.monomial(m - j, ctx.backend, cj)
@@ -410,15 +404,9 @@ def _stancu_terms(n, m, ctx, alpha, beta, raw_route):
 
 
 def stancu_moment_at(n, m, ctx, alpha, beta, x: Scalar, raw_route=ROUTE_BRUTE) -> Scalar:
-    """`stancu_moment(...).eval(x)`, with each plain moment evaluated at x before weighting.
-
-    The exact closed route is one Fraction from `closed_image_ratio`.
-    """
+    """`stancu_moment(...).eval(x)`, with each plain moment evaluated at x before weighting."""
     _validate_nm(n, m)
     check_stancu_parameters(alpha, beta, ctx.backend)
-    if raw_route == ROUTE_CLOSED and ctx.backend is Backend.EXACT:
-        t_m = [ctx.zero] * m + [ctx.one]
-        return Scalar.exact(*closed_image_ratio(n, t_m, ctx, x, alpha, beta))
     terms = _stancu_terms(n, m, ctx, alpha, beta, raw_route)
     return sum((c * p.eval(x) for c, p in terms), ctx.zero)
 

@@ -30,8 +30,8 @@ from qdurrmeyer import (
 from qdurrmeyer.asymptotics import QSequence, convergence_table
 from qdurrmeyer.moments import (
     MomentReport,
+    _closed_scaled_deviation,
     central_identity_coefficients,
-    closed_image_ratio,
     recurrence_reports,
     stated_central_factor,
     stated_central_moment,
@@ -137,46 +137,31 @@ class TestIntegerClosedTable:
         for m in range(5):
             assert raw_moment_closed(n, m, ctx) == rec[m], m
 
-    @pytest.mark.parametrize("n", [8, 64, 256])
-    def test_values_at_x_equal_polynomial_routes(self, n):
-        ctx = QContext.exact(n * n - 1, n * n)
-        params = [(0, 0), (1, 2), (Fraction(1, 3), Fraction(1, 2))]
-        for x in (Scalar.exact(25, 128), Scalar.exact(3, 10)):
-            for m in range(5):
-                t_m = [ctx.zero] * m + [ctx.one]
-                plain = raw_moment_closed(n, m, ctx).eval(x)
-                assert Fraction(*closed_image_ratio(n, t_m, ctx, x)) == plain.value
-                for a, b in params:
-                    alpha, beta = ctx.scalar(a), ctx.scalar(b)
-                    poly = stancu_moment(n, m, ctx, alpha, beta, raw_route="closed")
-                    got = stancu_moment_at(n, m, ctx, alpha, beta, x, "closed")
-                    assert type(got.value) is Fraction and got == poly.eval(x), (m, a, b)
-
     def test_polynomial_image_on_one_denominator(self):
         # fractional coefficients with a zero among them share one lcm
-        ctx = QContext.exact(63, 64)
+        n, ctx = 8, QContext.exact(63, 64)
         coeffs = [ctx.scalar(Fraction(c)) for c in ("1/3", "-2", "0", "5/7", "1/2")]
         x = Scalar.exact(3, 10)
-        for params in ((), (ctx.scalar(Fraction(1, 3)), ctx.scalar(Fraction(1, 2)))):
-            want = sum(
-                (c * stancu_moment(8, m, ctx, *params, raw_route="closed").eval(x)
-                 if params else c * raw_moment_closed(8, m, ctx).eval(x)
+        p_at_x = sum((c * x ** m for m, c in enumerate(coeffs)), ctx.zero)
+        for params in (None, (ctx.scalar(Fraction(1, 3)), ctx.scalar(Fraction(1, 2)))):
+            image = sum(
+                (c * (stancu_moment(n, m, ctx, *params, raw_route="closed") if params
+                      else raw_moment_closed(n, m, ctx)).eval(x)
                  for m, c in enumerate(coeffs)),
                 ctx.zero,
             )
-            assert Fraction(*closed_image_ratio(8, coeffs, ctx, x, *params)) == want.value
+            got = _closed_scaled_deviation(n, coeffs, ctx, x, params)
+            assert got == ctx.q_int(n) * (image - p_at_x)
 
     def test_refuses_what_the_tables_do_not_cover(self, ctx_half):
         x = Scalar.exact(1, 3)
         with pytest.raises(DomainError):
-            closed_image_ratio(4, [ctx_half.zero] * 5 + [ctx_half.one], ctx_half, x)
-        with pytest.raises(DomainError):
-            closed_image_ratio(4, [ctx_half.one], ctx_half, x, alpha=ctx_half.one)
+            _closed_scaled_deviation(4, [ctx_half.zero] * 5 + [ctx_half.one], ctx_half, x, None)
         with pytest.raises(BackendMismatchError):
-            closed_image_ratio(4, [ctx_half.one], ctx_half, Scalar.floating(0.5))
+            _closed_scaled_deviation(4, [ctx_half.one], ctx_half, Scalar.floating(0.5), None)
         ctx = QContext.floating(0.5)
         with pytest.raises(BackendMismatchError):
-            closed_image_ratio(4, [ctx.one], ctx, Scalar.floating(0.5))
+            _closed_scaled_deviation(4, [ctx.one], ctx, Scalar.floating(0.5), None)
 
     @pytest.mark.parametrize("n", [8, 64, 1024])
     def test_float_tables_match_exact_ones(self, n):
@@ -389,18 +374,31 @@ class TestStancuMoments:
         with pytest.raises(DomainError):
             stancu_moment_at(2, 1, ctx_half, Scalar.exact(3), Scalar.exact(1), Scalar.exact(1, 3))
 
-    @pytest.mark.parametrize("n", [8, 64])
-    @pytest.mark.parametrize("q", [Fraction(1, 2), Fraction(13, 16)])
+    @pytest.mark.parametrize("n", [8, 64, 256])
+    @pytest.mark.parametrize("q", [Fraction(1, 2), Fraction(13, 16), "one-minus-inv-n-squared"])
     def test_value_at_x_equals_polynomial_route(self, n, q):
-        ctx = QContext.exact(q)
-        for a, b in ((0, 0), (1, 2)):
+        # closed route: also the integer-table image, scaled as in a Voronovskaja row;
+        # the brute route at n = 256 would take seconds
+        ctx = QContext.exact(Fraction(n * n - 1, n * n) if isinstance(q, str) else q)
+        xs = (Scalar.exact(25, 128), Scalar.exact(2, 3), Scalar.exact(3, 10))
+        for m in range(5):
+            t_m = [ctx.zero] * m + [ctx.one]
+            for x in xs:
+                want = ctx.q_int(n) * (raw_moment_closed(n, m, ctx).eval(x) - x ** m)
+                assert _closed_scaled_deviation(n, t_m, ctx, x, None) == want
+        for a, b in ((0, 0), (1, 2), (Fraction(1, 3), Fraction(1, 2))):
             alpha, beta = ctx.scalar(a), ctx.scalar(b)
-            for raw_route in ("brute", "closed"):
+            for raw_route in ("brute", "closed") if n < 256 else ("closed",):
                 for m in range(5):
                     poly = stancu_moment(n, m, ctx, alpha, beta, raw_route=raw_route)
-                    for x in (Scalar.exact(25, 128), Scalar.exact(2, 3)):
+                    t_m = [ctx.zero] * m + [ctx.one]
+                    for x in xs:
+                        image = poly.eval(x)
                         got = stancu_moment_at(n, m, ctx, alpha, beta, x, raw_route)
-                        assert type(got.value) is Fraction and got == poly.eval(x)
+                        assert type(got.value) is Fraction and got == image
+                        if raw_route == "closed":
+                            dev = _closed_scaled_deviation(n, t_m, ctx, x, (alpha, beta))
+                            assert dev == ctx.q_int(n) * (image - x ** m)
 
 
 class TestStancuCentralMoments:
