@@ -13,7 +13,6 @@ from .errors import (
     JacksonTruncationError,
     OriginDerivativeError,
     SingularRemainderError,
-    UnsupportedVariantError,
 )
 from .qcore import (
     Backend,
@@ -33,7 +32,6 @@ from .operators import (
     durrmeyer_apply_fn,
     durrmeyer_apply_poly,
     kernel_mass,
-    stancu_apply,
 )
 from .moments import (
     MomentReport,
@@ -78,7 +76,6 @@ __all__ = [
     "kernel_mass",
     "durrmeyer_apply_poly",
     "durrmeyer_apply_fn",
-    "stancu_apply",
     "classical_durrmeyer_apply",
     "raw_moment_brute",
     "raw_moment_closed",
@@ -99,6 +96,5 @@ __all__ = [
     "JacksonTruncationError",
     "OriginDerivativeError",
     "SingularRemainderError",
-    "UnsupportedVariantError",
     "__version__",
 ]

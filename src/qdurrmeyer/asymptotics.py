@@ -8,8 +8,8 @@ is tabulated against its second-order limit target.  In limit form the
 target is (1+alpha-(2+beta)x) f'(x) + x(1-x) f''(x) for the Stancu
 operator, and the plain operator is its case alpha = beta = 0; a finite-q
 form with q-derivatives in place of f', f'' is available for diagnostics.
-The public `variant` argument ("plain" or "stancu", with alpha and beta)
-is turned into that one description, None or (alpha, beta), on entry.
+The operator is the Stancu one when alpha and beta are given, and they come
+both or neither; each row's operator is one `OperatorSpec`.
 
 A caution that the tables make visible: those targets are the limits only
 when q_n^n -> 1 (for example q_n = 1 - 1/n^2).  Along q_n = 1 - 1/n one
@@ -25,20 +25,14 @@ for quadratics and on the diagonal t = x, and is singular at t = qx.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence, Union
 
 from .errors import BackendMismatchError, DomainError, SingularRemainderError
-from .moments import (
-    CLOSED_MAX_M,
-    _closed_scaled_deviation,
-    central_moment,
-    raw_moment_brute,
-    raw_moment_closed,
-    stancu_moment_at,
-)
-from .operators import OperatorSpec, durrmeyer_apply_fn, stancu_apply
+from .moments import central_moment, scaled_deviation_at
+from .moments import raw_moment_brute  # noqa: F401  (still importable from this module)
+from .operators import OperatorSpec, check_stancu_parameters, durrmeyer_apply_fn
 from .polyalg import Polynomial
 from .qcore import Backend, FunctionSpec, QContext, Scalar, q_derivative
 
@@ -55,10 +49,6 @@ __all__ = [
     "decay_slope",
     "q_power_limit",
 ]
-
-PLAIN = "plain"
-STANCU = "stancu"
-
 
 @dataclass(frozen=True)
 class QSequence:
@@ -117,7 +107,7 @@ def q_power_limit(seq: QSequence, n_probe: int = 1 << 20) -> float:
 
 @dataclass
 class ConvergenceRow:
-    """One table row; abs_err is always recomputed from lhs and rhs_limit."""
+    """One table row; abs_err is |lhs - rhs_limit|, formed once at construction."""
 
     n: int
     q_n: Scalar
@@ -125,12 +115,11 @@ class ConvergenceRow:
     rhs_limit: Scalar | None
     error: str | None = None
     err_decreased: bool | None = None
+    abs_err: Scalar | None = field(init=False)
 
-    @property
-    def abs_err(self) -> Scalar | None:
-        if self.lhs is None or self.rhs_limit is None:
-            return None
-        return abs(self.lhs - self.rhs_limit)
+    def __post_init__(self):
+        missing = self.lhs is None or self.rhs_limit is None
+        self.abs_err = None if missing else abs(self.lhs - self.rhs_limit)
 
 
 def _as_spec(f: Union[FunctionSpec, Polynomial]) -> FunctionSpec:
@@ -142,40 +131,12 @@ def _validate_interior(x: Scalar):
         raise DomainError("the asymptotic statements hold for x in (0, 1)")
 
 
-def _stancu_params(variant: str, alpha, beta) -> tuple[Scalar, Scalar] | None:
-    """None for the plain operator, (alpha, beta) for the Stancu one."""
-    if variant == PLAIN:
-        return None
-    if variant != STANCU:
-        raise DomainError(f"variant must be plain or stancu, not {variant!r}")
-    if alpha is None or beta is None:
-        raise DomainError("stancu variant needs alpha and beta")
-    return alpha, beta
-
-
-def _scaled_deviation(
-    f: FunctionSpec, x: Scalar, n: int, ctx: QContext, params, tol, max_terms
-) -> Scalar:
-    """[n]_q (image of f at x - f(x)); plain for params None, else Stancu at (alpha, beta)."""
-    if f.is_polynomial and ctx.backend is Backend.EXACT and len(f.coeffs) <= CLOSED_MAX_M + 1:
-        return _closed_scaled_deviation(n, f.coeffs, ctx, x, params)
+def _scaled_deviation(f: FunctionSpec, x: Scalar, spec: OperatorSpec, tol, max_terms) -> Scalar:
+    """[n]_q (image of f at x under `spec`, minus f(x))."""
     if f.is_polynomial:
-        image = ctx.zero
-        for m, c in enumerate(f.coeffs):
-            if c.is_zero:
-                continue
-            closed = m <= CLOSED_MAX_M
-            if params is None:
-                value = (raw_moment_closed if closed else raw_moment_brute)(n, m, ctx).eval(x)
-            else:
-                value = stancu_moment_at(n, m, ctx, *params, x, "closed" if closed else "brute")
-            image = image + c * value
-    elif params is None:
-        # kept apart from the Stancu path: (q_n t + 0)/(q_n + 0) is not always t in floats
-        image = durrmeyer_apply_fn(OperatorSpec(n, ctx), f, x, tol, max_terms)
-    else:
-        image = stancu_apply(OperatorSpec(n, ctx, *params), f, x, tol, max_terms)
-    return ctx.q_int(n) * (image - f.evaluate(x))
+        return scaled_deviation_at(spec, f.coeffs, x)
+    image = durrmeyer_apply_fn(spec, f, x, tol, max_terms)
+    return spec.ctx.q_int(spec.n) * (image - f.evaluate(x))
 
 
 def voronovskaja_lhs(
@@ -183,7 +144,6 @@ def voronovskaja_lhs(
     x: Scalar,
     n: int,
     q: Scalar,
-    variant: str = PLAIN,
     alpha: Scalar | None = None,
     beta: Scalar | None = None,
     tol=None,
@@ -199,14 +159,12 @@ def voronovskaja_lhs(
     """
     f = _as_spec(f)
     _validate_interior(x)
-    params = _stancu_params(variant, alpha, beta)
-    return _scaled_deviation(f, x, n, QContext(q), params, tol, max_terms)
+    return _scaled_deviation(f, x, OperatorSpec(n, QContext(q), alpha, beta), tol, max_terms)
 
 
 def voronovskaja_rhs(
     f: Union[FunctionSpec, Polynomial],
     x: Scalar,
-    variant: str = PLAIN,
     alpha: Scalar | None = None,
     beta: Scalar | None = None,
     ctx: QContext | None = None,
@@ -218,7 +176,9 @@ def voronovskaja_rhs(
     """
     f = _as_spec(f)
     _validate_interior(x)
-    alpha, beta = _stancu_params(variant, alpha, beta) or (0, 0)
+    check_stancu_parameters(alpha, beta, x.backend)
+    if alpha is None:
+        alpha = beta = 0
     if ctx is None:
         d1 = f.classical_derivative(x, 1)
         d2 = f.classical_derivative(x, 2)
@@ -234,7 +194,6 @@ def convergence_grid(
     xs: Sequence[Scalar],
     seq: QSequence,
     n_list: Sequence[int],
-    variant: str = PLAIN,
     alpha: Scalar | None = None,
     beta: Scalar | None = None,
     tol=None,
@@ -254,16 +213,15 @@ def convergence_grid(
         _validate_interior(x)
     if list(n_list) != sorted(set(n_list)):
         raise DomainError("n_list must be strictly increasing")
-    params = _stancu_params(variant, alpha, beta)
-    rhs = [voronovskaja_rhs(f, x, variant, alpha, beta) for x in xs]
+    rhs = [voronovskaja_rhs(f, x, alpha, beta) for x in xs]
     tables: list[list[ConvergenceRow]] = [[] for _ in xs]
     prev_err = [None] * len(xs)
     for n in n_list:
         q_n = seq.value(n, xs[0].backend)
-        ctx = QContext(q_n)
+        spec = OperatorSpec(n, QContext(q_n), alpha, beta)
         for i, x in enumerate(xs):
             try:
-                lhs = _scaled_deviation(f, x, n, ctx, params, tol, max_terms)
+                lhs = _scaled_deviation(f, x, spec, tol, max_terms)
             except (ArithmeticError, DomainError) as exc:
                 tables[i].append(ConvergenceRow(n, q_n, None, None, error=str(exc)))
                 prev_err[i] = None
@@ -281,14 +239,13 @@ def convergence_table(
     x: Scalar,
     seq: QSequence,
     n_list: Sequence[int],
-    variant: str = PLAIN,
     alpha: Scalar | None = None,
     beta: Scalar | None = None,
     tol=None,
     max_terms: int | None = None,
 ) -> list[ConvergenceRow]:
     """One ConvergenceRow per n at a single x; see convergence_grid."""
-    return convergence_grid(f, [x], seq, n_list, variant, alpha, beta, tol, max_terms)[0]
+    return convergence_grid(f, [x], seq, n_list, alpha, beta, tol, max_terms)[0]
 
 
 def trend_decreasing_last_half(rows: Sequence[ConvergenceRow]) -> bool:

@@ -27,13 +27,14 @@ from .asymptotics import (
 )
 from .errors import DomainError, SingularRemainderError
 from .moments import (
+    CLOSED_MAX_M,
     central_moment,
     raw_moment_brute,
     raw_moment_closed,
     recurrence_reports,
     stancu_moment,
 )
-from .operators import OperatorSpec, check_stancu_parameters, stancu_apply
+from .operators import OperatorSpec, check_stancu_parameters, durrmeyer_apply_poly
 from .polyalg import Polynomial
 from .qcore import BUILTIN_NAMES, Backend, FunctionSpec, QContext, Scalar
 from .verify import build_report
@@ -231,7 +232,7 @@ def _raw_routes(n: int, m: int, ctx: QContext, opts: dict):
     rec = recurrence_reports(n, opts["m_max"], ctx)[m]
     brute = raw_moment_brute(n, m, ctx)
     routes = [("brute", brute), (rec.route, rec.value)]
-    if m <= 4:
+    if m <= CLOSED_MAX_M:
         routes.insert(0, ("closed", raw_moment_closed(n, m, ctx)))
     return brute, routes
 
@@ -248,7 +249,7 @@ def _stancu_routes(n: int, m: int, ctx: QContext, opts: dict):
     if m <= 2:
         routes.append(("closed", stancu_moment(n, m, ctx, alpha, beta, route="closed")))
     spec = OperatorSpec(n, ctx, alpha, beta)
-    routes.append(("direct", stancu_apply(spec, Polynomial.monomial(m, ctx.backend))))
+    routes.append(("direct", durrmeyer_apply_poly(spec, Polynomial.monomial(m, ctx.backend))))
     return recursion, routes
 
 
@@ -296,13 +297,12 @@ def _cmd_voronovskaja(cfg: RunConfig) -> int:
     f = cfg.options["f"]
     seq = cfg.options["seq"]
     n_list = cfg.options["n_list"]
-    variant = cfg.options["variant"]
     alpha, beta = cfg.options.get("alpha"), cfg.options.get("beta")
     rtol, floor = cfg.options["rtol"], cfg.options["floor"]
     rows_out, worst = [], None
     grid = cfg.options["x_grid"]
     tables = convergence_grid(
-        f, grid, seq, n_list, variant, alpha, beta,
+        f, grid, seq, n_list, alpha, beta,
         tol=cfg.options.get("tol"), max_terms=cfg.options.get("max_terms"),
     )
     for x, table in zip(grid, tables):
@@ -460,8 +460,8 @@ def _build_config(args) -> RunConfig:
             raise UsageError("n must be >= 1")
         if args.m_max < 0:
             raise UsageError("m-max must be >= 0")
-        if args.command == "central-moments" and not (1 <= args.m_max <= 4):
-            raise UsageError("central moments cover m in 1..4")
+        if args.command == "central-moments" and not (1 <= args.m_max <= CLOSED_MAX_M):
+            raise UsageError(f"central moments cover m in 1..{CLOSED_MAX_M}")
         opts["n"], opts["m_max"] = args.n, args.m_max
     if args.command == "stancu-moments":
         alpha = _parse_scalar(args.alpha, backend)

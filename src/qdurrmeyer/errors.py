@@ -9,10 +9,6 @@ class DomainError(ValueError):
     """Raised when an argument leaves the mathematical domain of an operation."""
 
 
-class UnsupportedVariantError(DomainError):
-    """Raised when an operator variant does not support the requested operation."""
-
-
 class OriginDerivativeError(DomainError):
     """Raised for a q-derivative at x = 0 of a function without a coefficient rule."""
 

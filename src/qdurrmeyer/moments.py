@@ -11,7 +11,7 @@ Routes for the raw moments D^q_{n,m}(x) = D_{n,q}(t^m; x):
               exact backend they are evaluated on integers, writing q = a/d
               and [k]_q = S_k / d^(k-1), and a Fraction is formed only for
               each finished coefficient, or once for a scaled deviation
-              [n]_q (image - p(x)) at x = u/v (`_closed_scaled_deviation`)
+              [n]_q (image - p(x)) at x = u/v (`scaled_deviation_at`)
   recurrence  [n+m+2]_q M_{m+1} = ([m+1]_q + q^(m+1) x [n]_q) M_m
                                    + x(1-x) q^(m+1) D_q(M_m),
               applied under the guard n > m + 2 and filled from the brute
@@ -41,7 +41,7 @@ from typing import Sequence
 from .errors import BackendMismatchError, DomainError
 from .operators import OperatorSpec, check_stancu_parameters, durrmeyer_apply_poly
 from .polyalg import BivariateExpansion, Polynomial
-from .qcore import Backend, QContext, Scalar
+from .qcore import Backend, QContext, Scalar, horner
 
 __all__ = [
     "MomentReport",
@@ -55,6 +55,7 @@ __all__ = [
     "central_moment",
     "stancu_moment",
     "stancu_moment_at",
+    "scaled_deviation_at",
     "stancu_central_moment",
     "stated_raw_moment",
     "stated_central_moment",
@@ -219,26 +220,45 @@ def raw_moment_closed(n: int, m: int, ctx: QContext) -> Polynomial:
     return Polynomial(coeffs, ctx.backend)
 
 
-def _closed_scaled_deviation(
-    n: int, coeffs: Sequence[Scalar], ctx: QContext, x: Scalar, params
-) -> Scalar:
+def scaled_deviation_at(spec: OperatorSpec, coeffs: Sequence[Scalar], x: Scalar) -> Scalar:
+    """[n]_q (image of p = sum_m coeffs[m] t^m at x, minus p(x)) under `spec`.
+
+    Exact polynomials of degree <= 4 take the integer closed tables; any
+    other p sums its moments evaluated at x, closed for m <= 4 and brute above.
+    """
+    n, ctx = spec.n, spec.ctx
+    if ctx.backend is Backend.EXACT and len(coeffs) <= CLOSED_MAX_M + 1:
+        return _closed_scaled_deviation(spec, coeffs, x)
+    image = ctx.zero
+    for m, c in enumerate(coeffs):
+        if c.is_zero:
+            continue
+        route = ROUTE_CLOSED if m <= CLOSED_MAX_M else ROUTE_BRUTE
+        if spec.alpha is None:
+            raw = raw_moment_closed if route == ROUTE_CLOSED else raw_moment_brute
+            value = raw(n, m, ctx).eval(x)
+        else:
+            value = stancu_moment_at(n, m, ctx, spec.alpha, spec.beta, x, route)
+        image = image + c * value
+    return ctx.q_int(n) * (image - horner(coeffs, x))
+
+
+def _closed_scaled_deviation(spec: OperatorSpec, coeffs: Sequence[Scalar], x: Scalar) -> Scalar:
     """[n]_q (image of p = sum_m coeffs[m] t^m at x, minus p(x)), as one Fraction.
 
-    Exact backend and degree <= 4 only: the closed tables on integers.  The
-    image is plain for params None, else Stancu at params = (alpha, beta),
-    each t^m weighted as in `stancu_moment`.  For x = u/v and degree M the
-    plain moments share the denominator S_{n+2} ... S_{n+M+1} v^M, and with
-    alpha = a1/a2, beta = b1/b2 and [n]_q = S_n / g, g = d^(n-1), the Stancu
-    weights share (a2 (S_n b2 + b1 g))^M, so only the result is reduced.
+    Exact backend and degree <= 4 only: the closed tables on integers.  A
+    Stancu spec weights each t^m as in `stancu_moment`.  For x = u/v and
+    degree M the plain moments share the denominator S_{n+2} ... S_{n+M+1} v^M,
+    and with alpha = a1/a2, beta = b1/b2 and [n]_q = S_n / g, g = d^(n-1),
+    the Stancu weights share (a2 (S_n b2 + b1 g))^M, so only the result is
+    reduced.
     """
+    n, ctx = spec.n, spec.ctx
     if not (ctx.backend is Backend.EXACT and x.is_exact and all(c.is_exact for c in coeffs)):
         raise BackendMismatchError("integer moment images need exact scalars")
     deg = max((m for m, c in enumerate(coeffs) if not c.is_zero), default=0)
-    _validate_nm(n, deg)
     if deg > CLOSED_MAX_M:
         raise DomainError(f"closed tables stop at m = {CLOSED_MAX_M}; use the recurrence route")
-    if params is not None:
-        check_stancu_parameters(*params, ctx.backend)
     u, v = x.value.as_integer_ratio()
     s = ctx.q_int_numerator
     sn, g = s(n), ctx.q.value.denominator ** (n - 1)
@@ -255,12 +275,12 @@ def _closed_scaled_deviation(
 
     lcm = math.lcm(*(c.value.denominator for c in coeffs))
     weights = [c.value.numerator * (lcm // c.value.denominator) for c in coeffs[: deg + 1]]
-    if params is None:
+    if spec.alpha is None:
         unit = 1
         images = [plain_at(m) if w else 0 for m, w in enumerate(weights)]
     else:
-        a1, a2 = params[0].value.as_integer_ratio()
-        b1, b2 = params[1].value.as_integer_ratio()
+        a1, a2 = spec.alpha.value.as_integer_ratio()
+        b1, b2 = spec.beta.value.as_integer_ratio()
         unit = a2 * (sn * b2 + b1 * g)
         plain = [plain_at(j) for j in range(deg + 1)]
         # C(m, j) [n]^j alpha^(m-j) / ([n] + beta)^m

@@ -7,8 +7,9 @@ Plain q-Durrmeyer:
     p_{nk}(q; x)  = [n choose k]_q x^k (1-x)_q^(n-k).
 
 The Stancu operator composes f with t -> ([n]_q t + alpha) / ([n]_q + beta)
-for 0 <= alpha <= beta; an `OperatorSpec` describes it when it carries alpha
-and beta, and the plain operator when it carries neither.  The q = 1
+for 0 <= alpha <= beta.  An `OperatorSpec` is the only plain/Stancu switch:
+it describes the Stancu operator when it carries alpha and beta, the plain
+one when it carries neither, and both apply functions read it.  The q = 1
 operator, `classical_durrmeyer_apply(n, p)`, is evaluated through ordinary
 Beta integrals; it exists as a q -> 1 cross-check target and accepts exact
 polynomials only.
@@ -23,6 +24,8 @@ work per image; the x^(m+1) coefficient must cancel and is checked.
 
 Black-box f takes one Jackson series per kernel index k; those integrals do
 not depend on x and are memoized on the context, so an x grid shares them.
+A Stancu spec composes a polynomial with the affine map before the kernel
+sum, and evaluates a black-box f at the mapped point.
 """
 
 from __future__ import annotations
@@ -30,14 +33,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
 
-from .errors import (
-    BackendMismatchError,
-    DomainError,
-    JacksonTruncationError,
-    UnsupportedVariantError,
-)
+from .errors import BackendMismatchError, DomainError, JacksonTruncationError
 from .polyalg import Polynomial
 from .qcore import Backend, FunctionSpec, QContext, Scalar, jackson_series, q_beta
 
@@ -48,13 +45,16 @@ __all__ = [
     "kernel_mass",
     "durrmeyer_apply_poly",
     "durrmeyer_apply_fn",
-    "stancu_apply",
     "classical_durrmeyer_apply",
 ]
 
 
-def check_stancu_parameters(alpha: Scalar, beta: Scalar, backend: Backend) -> None:
-    """Require alpha and beta on `backend` with 0 <= alpha <= beta."""
+def check_stancu_parameters(alpha: Scalar | None, beta: Scalar | None, backend: Backend) -> None:
+    """Require alpha and beta both or neither; given, on `backend` with 0 <= alpha <= beta."""
+    if (alpha is None) != (beta is None):
+        raise DomainError("stancu parameters alpha and beta come together")
+    if alpha is None:
+        return
     if alpha.backend is not backend or beta.backend is not backend:
         raise BackendMismatchError("alpha/beta backend must match the context")
     if not (0 <= alpha.value and alpha.value <= beta.value):
@@ -73,10 +73,7 @@ class OperatorSpec:
     def __post_init__(self):
         if self.n < 1:
             raise DomainError("operator degree n must be >= 1")
-        if (self.alpha is None) != (self.beta is None):
-            raise DomainError("stancu parameters alpha and beta come together")
-        if self.alpha is not None:
-            check_stancu_parameters(self.alpha, self.beta, self.ctx.backend)
+        check_stancu_parameters(self.alpha, self.beta, self.ctx.backend)
 
 
 def _check_point(x: Scalar, ctx: QContext):
@@ -135,16 +132,19 @@ def _kernel_weights(spec: OperatorSpec, p: Polynomial, k_max: int) -> list[Scala
 
 
 def durrmeyer_apply_poly(spec: OperatorSpec, p: Polynomial) -> Polynomial:
-    """Exact image of a polynomial under D_{n,q}, as a polynomial in x.
+    """Exact image of a polynomial under the operator of `spec`, as a polynomial in x.
 
-    Forms x^0 .. x^(top+1), top = min(deg p, n), from the weights k <= top + 1.
-    x^(top+1) must cancel: exact residue raises ArithmeticError, float is dropped.
+    A Stancu spec first composes p with the affine map.  Forms x^0 .. x^(top+1),
+    top = min(deg p, n), from the weights k <= top + 1.  x^(top+1) must
+    cancel: exact residue raises ArithmeticError, float is dropped.
     """
-    if spec.alpha is not None:
-        raise UnsupportedVariantError("durrmeyer_apply_poly expects the plain operator")
     n, ctx = spec.n, spec.ctx
     if p.backend is not ctx.backend:
         raise BackendMismatchError("polynomial backend differs from context")
+    if spec.alpha is not None:
+        qn = ctx.q_int(n)
+        denom = qn + spec.beta
+        p = p.compose_affine(qn / denom, spec.alpha / denom)
     if p.is_zero:
         return Polynomial.zero(ctx.backend)
     top = min(p.degree, n)
@@ -207,50 +207,25 @@ def durrmeyer_apply_fn(
     tol=None,
     max_terms: int | None = None,
 ) -> Scalar:
-    """D_{n,q}(f; x) for a FunctionSpec; polynomial specs take the exact path."""
-    if spec.alpha is not None:
-        raise UnsupportedVariantError("durrmeyer_apply_fn expects the plain operator")
+    """Image of a FunctionSpec at x; polynomial specs take the exact path.
+
+    A Stancu spec evaluates a black-box f at ([n]_q t + alpha) / ([n]_q + beta);
+    the plain one evaluates f at t itself, since (q_n t + 0)/(q_n + 0) is
+    not always t in floats.
+    """
     _check_point(x, spec.ctx)
     if f.is_polynomial:
         return durrmeyer_apply_poly(spec, Polynomial(f.coeffs, spec.ctx.backend)).eval(x)
-    return _apply_fn_pointwise(spec, f.evaluate, (f, None), x, tol, max_terms)
+    fn = f.evaluate
+    if spec.alpha is not None:
+        qn, alpha = spec.ctx.q_int(spec.n), spec.alpha
+        denom = qn + spec.beta
 
+        def fn(t: Scalar) -> Scalar:
+            # with alpha <= beta this rounds to at most 1; the form a t + b can exceed 1 at t = 1
+            return f.evaluate((qn * t + alpha) / denom)
 
-def stancu_apply(
-    spec: OperatorSpec,
-    f: Union[Polynomial, FunctionSpec],
-    x: Scalar | None = None,
-    tol=None,
-    max_terms: int | None = None,
-):
-    """Image under the Stancu operator.
-
-    Polynomial input returns the exact image polynomial (or its value when
-    x is given).  Function input needs an evaluation point and goes through
-    the Jackson-series path with the affine argument map applied first.
-    """
-    if spec.alpha is None:
-        raise UnsupportedVariantError("stancu_apply expects the stancu operator")
-    plain, alpha = OperatorSpec(spec.n, spec.ctx), spec.alpha
-    qn = spec.ctx.q_int(spec.n)
-    denom = qn + spec.beta
-    if isinstance(f, FunctionSpec) and f.is_polynomial:
-        f = Polynomial(f.coeffs, spec.ctx.backend)
-    if isinstance(f, Polynomial):
-        image = durrmeyer_apply_poly(plain, f.compose_affine(qn / denom, alpha / denom))
-        if x is None:
-            return image
-        _check_point(x, spec.ctx)
-        return image.eval(x)
-    if x is None:
-        raise DomainError("function input needs an evaluation point x")
-    _check_point(x, spec.ctx)
-
-    def mapped(t: Scalar) -> Scalar:
-        # with alpha <= beta this rounds to at most 1; the form a t + b can exceed 1 at t = 1
-        return f.evaluate((qn * t + alpha) / denom)
-
-    return _apply_fn_pointwise(plain, mapped, (f, alpha, spec.beta), x, tol, max_terms)
+    return _apply_fn_pointwise(spec, fn, (f, spec.alpha, spec.beta), x, tol, max_terms)
 
 
 def classical_durrmeyer_apply(n: int, p: Polynomial) -> Polynomial:

@@ -320,12 +320,17 @@ class QContext:
         return table[n]
 
     def q_fact(self, n: int) -> Scalar:
-        """[n]_q! with [0]_q! = 1."""
+        """[n]_q! with [0]_q! = 1; a float product that overflows raises DomainError."""
         if n < 0:
             raise DomainError("q-factorial index must be nonnegative")
         table = self._qfact
         while len(table) <= n:
-            table.append(table[-1] * self.q_int(len(table)))
+            value = table[-1] * self.q_int(len(table))
+            if self.backend is Backend.FLOAT and not math.isfinite(value.value):
+                raise DomainError(
+                    f"float q-factorial [{len(table)}]_q! overflows; use the exact backend"
+                )
+            table.append(value)
         return table[n]
 
     def q_binom(self, n: int, k: int) -> Scalar:

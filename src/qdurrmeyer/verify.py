@@ -28,7 +28,7 @@ from .moments import (
     stancu_moment,
     transcription_audit,
 )
-from .operators import OperatorSpec, bernstein_basis, durrmeyer_apply_poly, kernel_mass, stancu_apply
+from .operators import OperatorSpec, bernstein_basis, durrmeyer_apply_poly, kernel_mass
 from .polyalg import Polynomial
 from .qcore import (
     Backend,
@@ -217,7 +217,7 @@ def _check_stancu_recursion(ctxs) -> VerifyEntry:
             for n in range(1, 5):
                 spec = OperatorSpec(n, ctx, alpha, beta)
                 for m in range(4):
-                    direct = stancu_apply(spec, Polynomial.monomial(m, ctx.backend))
+                    direct = durrmeyer_apply_poly(spec, Polynomial.monomial(m, ctx.backend))
                     if direct != stancu_moment(n, m, ctx, alpha, beta):
                         bad.append(f"n={n} m={m} q={ctx.q} a={a} b={b}")
     return _entry("stancu-recursion-vs-direct", bad)

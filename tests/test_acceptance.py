@@ -42,7 +42,6 @@ from qdurrmeyer import (
     raw_moment_brute,
     raw_moment_closed,
     raw_moment_recurrence,
-    stancu_apply,
     stancu_moment,
     transcription_audit,
 )
@@ -147,7 +146,7 @@ def test_criterion_04_stancu_consistency():
             for n in range(1, 7):
                 spec = OperatorSpec(n, ctx, alpha, beta)
                 for m in range(5):
-                    direct = stancu_apply(spec, Polynomial.monomial(m, Backend.EXACT))
+                    direct = durrmeyer_apply_poly(spec, Polynomial.monomial(m, Backend.EXACT))
                     if direct != stancu_moment(n, m, ctx, alpha, beta):
                         ok = False
         zero = ctx.zero
@@ -156,7 +155,7 @@ def test_criterion_04_stancu_consistency():
             plain = OperatorSpec(n, ctx)
             for m in range(5):
                 p = Polynomial.monomial(m, Backend.EXACT)
-                if stancu_apply(spec, p) != durrmeyer_apply_poly(plain, p):
+                if durrmeyer_apply_poly(spec, p) != durrmeyer_apply_poly(plain, p):
                     ok = False
     line = _verdict(4, ok, "recursion = direct, n<=6 m<=4; (0,0) bit-identical to plain")
     assert ok, line
@@ -166,7 +165,7 @@ def _doubling_run(variant, alpha=None, beta=None):
     f = FunctionSpec.monomial(2)
     x = Scalar.exact(Fraction(3, 10))
     seq = QSequence.one_minus_inv_n()
-    rows = convergence_table(f, x, seq, DOUBLINGS, variant, alpha, beta)
+    rows = convergence_table(f, x, seq, DOUBLINGS, alpha, beta)
     errs = [float(r.abs_err) for r in rows]
     final_ok = errs[-1] <= 0.05 * abs(float(rows[-1].rhs_limit))
     tail = errs[-4:]
@@ -327,7 +326,7 @@ def test_companion_stancu_protocol_along_admissible_sequence():
     f = FunctionSpec.monomial(2)
     x = Scalar.exact(Fraction(3, 10))
     rows = convergence_table(
-        f, x, QSequence.power_decay(2), DOUBLINGS, "stancu", Scalar.exact(1), Scalar.exact(2)
+        f, x, QSequence.power_decay(2), DOUBLINGS, Scalar.exact(1), Scalar.exact(2)
     )
     errs = [float(r.abs_err) for r in rows]
     assert errs[-1] <= 0.05 * 0.90, errs

@@ -90,20 +90,18 @@ class TestVoronovskajaLhs:
         # the closed-table fast path must equal the brute kernel path
         from qdurrmeyer import OperatorSpec, durrmeyer_apply_poly
 
-        from qdurrmeyer import stancu_apply
-
         p = Polynomial.from_fractions([1, -1, 2, 0, 1])
         image = durrmeyer_apply_poly(OperatorSpec(6, ctx_half), p)
         expected = ctx_half.q_int(6) * (image.eval(X03) - p.eval(X03))
         assert voronovskaja_lhs(p, X03, 6, ctx_half.q) == expected
         alpha, beta = Scalar.exact(1, 3), Scalar.exact(1, 2)
-        image = stancu_apply(OperatorSpec(6, ctx_half, alpha, beta), p)
+        image = durrmeyer_apply_poly(OperatorSpec(6, ctx_half, alpha, beta), p)
         expected = ctx_half.q_int(6) * (image.eval(X03) - p.eval(X03))
-        assert voronovskaja_lhs(p, X03, 6, ctx_half.q, "stancu", alpha, beta) == expected
+        assert voronovskaja_lhs(p, X03, 6, ctx_half.q, alpha, beta) == expected
 
     def test_stancu_needs_parameters(self, ctx_half):
         with pytest.raises(DomainError):
-            voronovskaja_lhs(T2, X03, 4, ctx_half.q, variant="stancu")
+            voronovskaja_lhs(T2, X03, 4, ctx_half.q, alpha=Scalar.exact(1))
 
     def test_interior_point_required(self, ctx_half):
         with pytest.raises(DomainError):
@@ -114,8 +112,15 @@ class TestVoronovskajaRhs:
     def test_limit_form_examples(self):
         # (1-2x) f' + x(1-x) f'' at f = t^2, x = 0.3
         assert voronovskaja_rhs(T2, X03) == Fraction(33, 50)
-        got = voronovskaja_rhs(T2, X03, "stancu", Scalar.exact(1), Scalar.exact(2))
+        got = voronovskaja_rhs(T2, X03, Scalar.exact(1), Scalar.exact(2))
         assert got == Fraction(9, 10)
+
+    def test_alpha_needs_beta(self):
+        alpha = Scalar.exact(1)
+        with pytest.raises(DomainError):
+            voronovskaja_rhs(T2, X03, alpha=alpha)
+        with pytest.raises(DomainError):
+            convergence_grid(T2, [X03], QSequence.one_minus_inv_n(), [8], alpha=alpha)
 
     def test_constant_gives_zero(self):
         one = FunctionSpec.polynomial([Scalar.exact(1)])
@@ -195,7 +200,6 @@ class TestConvergenceTable:
             X03,
             QSequence.power_decay(2),
             [64, 128, 256, 512],
-            "stancu",
             Scalar.exact(1),
             Scalar.exact(2),
         )

@@ -80,6 +80,16 @@ class TestCentralAndStancuCommands:
         assert code == 0
         assert "direct" in out and "recursion" in out
 
+    def test_float_factorial_overflow_is_reported(self, capsys):
+        # an overflowed q-factorial would make the q-binomials inf/inf = nan
+        code, out, err = run(capsys, "moments", "--n", "200", "--q", "0.99", "--backend", "float")
+        assert (code, out) == (2, "")
+        assert "float q-factorial [186]_q! overflows" in err
+        code, out, _ = run(capsys, "voronovskaja", "--f", "exp", "--backend", "float", "--x",
+                           "0.3", "--q-seq", "one-minus-inv-n", "--n-list", "64,256")
+        assert code == 3
+        assert out.splitlines()[-1].startswith("256,0.99609375,0.3,error:float q-factorial")
+
     def test_stancu_parameter_order_enforced(self, capsys):
         code, _, _ = run(
             capsys, "stancu-moments", "--n", "2", "--q", "1/2", "--alpha", "3", "--beta", "1"

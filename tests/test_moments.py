@@ -22,7 +22,6 @@ from qdurrmeyer import (
     raw_moment_closed,
     raw_moment_recurrence,
     stancu_central_moment,
-    stancu_apply,
     stancu_moment,
     transcription_audit,
     voronovskaja_lhs,
@@ -116,7 +115,7 @@ class TestRawMoments:
                 brute = raw_moment_brute(n, m, ctx)
                 assert brute.degree <= min(m, n)
                 t_m = Polynomial.monomial(m, Backend.FLOAT)
-                assert stancu_apply(stancu, t_m).degree <= min(m, n)
+                assert durrmeyer_apply_poly(stancu, t_m).degree <= min(m, n)
                 plain = durrmeyer_apply_poly(OperatorSpec(n, ctx), t_m)
                 for poly in (raw_moment_closed(n, m, ctx), rec[m], plain):
                     assert poly.degree <= min(m, n)
@@ -150,18 +149,22 @@ class TestIntegerClosedTable:
                  for m, c in enumerate(coeffs)),
                 ctx.zero,
             )
-            got = _closed_scaled_deviation(n, coeffs, ctx, x, params)
+            got = _closed_scaled_deviation(OperatorSpec(n, ctx, *(params or ())), coeffs, x)
             assert got == ctx.q_int(n) * (image - p_at_x)
 
     def test_refuses_what_the_tables_do_not_cover(self, ctx_half):
         x = Scalar.exact(1, 3)
         with pytest.raises(DomainError):
-            _closed_scaled_deviation(4, [ctx_half.zero] * 5 + [ctx_half.one], ctx_half, x, None)
+            _closed_scaled_deviation(
+                OperatorSpec(4, ctx_half), [ctx_half.zero] * 5 + [ctx_half.one], x
+            )
         with pytest.raises(BackendMismatchError):
-            _closed_scaled_deviation(4, [ctx_half.one], ctx_half, Scalar.floating(0.5), None)
+            _closed_scaled_deviation(
+                OperatorSpec(4, ctx_half), [ctx_half.one], Scalar.floating(0.5)
+            )
         ctx = QContext.floating(0.5)
         with pytest.raises(BackendMismatchError):
-            _closed_scaled_deviation(4, [ctx.one], ctx, Scalar.floating(0.5), None)
+            _closed_scaled_deviation(OperatorSpec(4, ctx), [ctx.one], Scalar.floating(0.5))
 
     @pytest.mark.parametrize("n", [8, 64, 1024])
     def test_float_tables_match_exact_ones(self, n):
@@ -189,7 +192,7 @@ class TestIntegerClosedTable:
         calls = []
         real_gcd = math.gcd
         monkeypatch.setattr(math, "gcd", lambda *a: calls.append(a) or real_gcd(*a))
-        voronovskaja_lhs(f, x, n, q, variant, *params)
+        voronovskaja_lhs(f, x, n, q, *params)
         monkeypatch.undo()
         assert len(calls) <= 20  # 237 (plain) and 395 (stancu) with Fraction steps
 
@@ -385,7 +388,7 @@ class TestStancuMoments:
             t_m = [ctx.zero] * m + [ctx.one]
             for x in xs:
                 want = ctx.q_int(n) * (raw_moment_closed(n, m, ctx).eval(x) - x ** m)
-                assert _closed_scaled_deviation(n, t_m, ctx, x, None) == want
+                assert _closed_scaled_deviation(OperatorSpec(n, ctx), t_m, x) == want
         for a, b in ((0, 0), (1, 2), (Fraction(1, 3), Fraction(1, 2))):
             alpha, beta = ctx.scalar(a), ctx.scalar(b)
             for raw_route in ("brute", "closed") if n < 256 else ("closed",):
@@ -397,7 +400,7 @@ class TestStancuMoments:
                         got = stancu_moment_at(n, m, ctx, alpha, beta, x, raw_route)
                         assert type(got.value) is Fraction and got == image
                         if raw_route == "closed":
-                            dev = _closed_scaled_deviation(n, t_m, ctx, x, (alpha, beta))
+                            dev = _closed_scaled_deviation(OperatorSpec(n, ctx, alpha, beta), t_m, x)
                             assert dev == ctx.q_int(n) * (image - x ** m)
 
 

@@ -13,13 +13,11 @@ from qdurrmeyer import (
     Polynomial,
     QContext,
     Scalar,
-    UnsupportedVariantError,
     bernstein_basis,
     classical_durrmeyer_apply,
     durrmeyer_apply_fn,
     durrmeyer_apply_poly,
     kernel_mass,
-    stancu_apply,
 )
 from qdurrmeyer import operators
 from qdurrmeyer.asymptotics import QSequence, convergence_grid
@@ -146,13 +144,6 @@ class TestDurrmeyerPolynomial:
             for m in range(7):
                 image = durrmeyer_apply_poly(spec, Polynomial.monomial(m, Backend.EXACT))
                 assert image.degree <= min(m, n)
-
-    def test_variant_guard(self, ctx_half):
-        spec = OperatorSpec(2, ctx_half, Scalar.exact(0), Scalar.exact(0))
-        with pytest.raises(UnsupportedVariantError):
-            durrmeyer_apply_poly(spec, Polynomial.one(Backend.EXACT))
-        with pytest.raises(UnsupportedVariantError):
-            durrmeyer_apply_fn(spec, FunctionSpec.monomial(0), Scalar.exact(1, 2))
 
     @staticmethod
     def _product_expansion(n, ctx, p):
@@ -346,23 +337,25 @@ class TestStancu:
         plain = OperatorSpec(3, ctx_half)
         for m in range(5):
             p = Polynomial.monomial(m, Backend.EXACT)
-            assert stancu_apply(spec, p) == durrmeyer_apply_poly(plain, p)
+            assert durrmeyer_apply_poly(spec, p) == durrmeyer_apply_poly(plain, p)
 
     def test_constant_preserved(self, ctx_half):
         spec = OperatorSpec(2, ctx_half, Scalar.exact(1), Scalar.exact(2))
-        assert stancu_apply(spec, Polynomial.one(Backend.EXACT)) == Polynomial.one(Backend.EXACT)
+        assert durrmeyer_apply_poly(
+            spec, Polynomial.one(Backend.EXACT)
+        ) == Polynomial.one(Backend.EXACT)
 
     def test_first_moment_at_origin(self, ctx_half):
         spec = OperatorSpec(2, ctx_half, Scalar.exact(1), Scalar.exact(2))
-        assert stancu_apply(
-            spec, Polynomial.monomial(1, Backend.EXACT), Scalar.exact(0)
-        ) == Fraction(18, 35)
+        assert durrmeyer_apply_poly(
+            spec, Polynomial.monomial(1, Backend.EXACT)
+        ).eval(Scalar.exact(0)) == Fraction(18, 35)
 
     def test_function_path_matches_polynomial_path(self):
         ctx = QContext.floating(0.5)
         spec = OperatorSpec(3, ctx, Scalar.floating(1.0), Scalar.floating(2.0))
         x = Scalar.floating(0.3)
-        exact = stancu_apply(spec, Polynomial.monomial(2, Backend.FLOAT), x)
+        exact = durrmeyer_apply_poly(spec, Polynomial.monomial(2, Backend.FLOAT)).eval(x)
 
         table = {ctx.q_power(j): None for j in range(1200)}
         # the affine map sends nodes off the Jackson grid, so tabulate the
@@ -371,7 +364,7 @@ class TestStancu:
         qn, denom = ctx.q_int(3), ctx.q_int(3) + Scalar.floating(2.0)
         points = [(qn * p + Scalar.floating(1.0)) / denom for p in table]
         mapped = {u: u ** 2 for u in points}
-        series = stancu_apply(spec, FunctionSpec.tabulated(mapped), x, tol=1e-14)
+        series = durrmeyer_apply_fn(spec, FunctionSpec.tabulated(mapped), x, tol=1e-14)
         assert abs(float(series) - float(exact)) < 1e-11
 
     def test_function_path_stays_in_domain(self):
@@ -386,12 +379,7 @@ class TestStancu:
                     ab = Scalar.floating(ab)
                     spec = OperatorSpec(n, QContext.floating(q), ab, ab)
                     with pytest.raises(JacksonTruncationError):
-                        stancu_apply(spec, f, Scalar.floating(0.5), tol=1e-300, max_terms=1)
-
-    def test_needs_stancu_variant(self, ctx_half):
-        plain = OperatorSpec(2, ctx_half)
-        with pytest.raises(UnsupportedVariantError):
-            stancu_apply(plain, Polynomial.one(Backend.EXACT))
+                        durrmeyer_apply_fn(spec, f, Scalar.floating(0.5), tol=1e-300, max_terms=1)
 
 
 class TestClassical:

@@ -152,6 +152,13 @@ class TestQFactorial:
         with pytest.raises(DomainError):
             ctx_half.q_fact(-2)
 
+    def test_float_overflow_names_the_index(self):
+        # [k]_q < 1/(1-q) = 100, so the float product leaves the range near k = 186
+        ctx = QContext.floating(0.99)
+        with pytest.raises(DomainError, match=r"\[186\]_q! overflows"):
+            ctx.q_fact(200)
+        assert math.isfinite(ctx.q_fact(185).value)
+
 
 class TestQBinomial:
     def test_examples(self, ctx_half):
