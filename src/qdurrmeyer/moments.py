@@ -2,9 +2,10 @@
 
 Routes for the raw moments D^q_{n,m}(x) = D_{n,q}(t^m; x):
 
-  brute       kernel sum with exact q-Beta integrals (the oracle); it
-              expands (1-x)_q^N by Gauss's formula, costs O(m*n) per
-              image and checks that the x^(m+1) coefficient cancels
+  brute       kernel sum (the oracle) with its q-Beta weights and Gauss's
+              expansion of (1-x)_q^N as products of at most m + 1
+              q-integers, no q-factorial; it checks that the x^(m+1)
+              coefficient cancels
   closed      closed forms for m <= 4, kept as data: the x^j coefficient is
               q^(j^2) [n]_q ... [n-j+1]_q c_{m,j}(q) / ([n+2]_q ... [n+m+1]_q)
               with integer q-polynomials c_{m,j} (`_CLOSED_TABLE`); on the
@@ -142,7 +143,7 @@ def _memo_on_context(fn):
 
 @_memo_on_context
 def raw_moment_brute(n: int, m: int, ctx: QContext) -> Polynomial:
-    """Direct kernel sum through exact q-Beta values; oracle for all routes."""
+    """Direct kernel sum, the q-Beta weights as q-integer products; oracle for all routes."""
     _validate_nm(n, m)
     spec = OperatorSpec(n, ctx)
     return durrmeyer_apply_poly(spec, Polynomial.monomial(m, ctx.backend))

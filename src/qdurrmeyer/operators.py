@@ -16,11 +16,12 @@ polynomials only.
 
 Since p_{nk}(q; qt) carries a factor q^k, the q^(-k) weight is folded
 against it before anything is evaluated; no negative powers of q are ever
-formed.  All polynomial-input paths go through exact q-Beta values, so the
-identity checks in the test-suite can demand exact equality.  The kernel
-sum expands (1-x)_q^(n-k) by Gauss's q-binomial formula and forms only the
-coefficients up to x^(m+1) of the image of a degree-m polynomial, O(m*n)
-work per image; the x^(m+1) coefficient must cancel and is checked.
+formed.  Exact polynomial images are exact, so the identity checks in the
+test-suite can demand exact equality.  The kernel sum forms no q-factorial
+(see `durrmeyer_apply_poly`): a degree-m image takes O(m^2) products of
+q-integers, and its x^(m+1) coefficient must cancel and is checked.
+`bernstein_basis`, `kernel_mass` and `qcore.q_beta` keep the q-factorial
+forms, which `verify` checks and the test-suite compares with the kernel sum.
 
 Black-box f takes one Jackson series per kernel index k; those integrals do
 not depend on x and are memoized on the context, so an x grid shares them.
@@ -31,6 +32,7 @@ sum, and evaluates a black-box f at the mapped point.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -84,24 +86,27 @@ def _check_point(x: Scalar, ctx: QContext):
 
 
 def bernstein_basis(spec: OperatorSpec, k: int, x: Scalar) -> Scalar:
-    """p_{nk}(q; x), nonnegative on [0, 1]."""
+    """p_{nk}(q; x), nonnegative on [0, 1].
+
+    Exact, with q = a/d and x = u/v: [n choose k]_q u^k prod_{s<n-k} (d^s v - a^s u)
+    / (v^n d^((n-k)(n-k-1)/2)).  Float: raw floats in the Scalar order, wrapped once.
+    """
     n, ctx = spec.n, spec.ctx
     if not 0 <= k <= n:
         raise DomainError(f"basis index needs 0 <= k <= n, got k={k} n={n}")
     _check_point(x, ctx)
-    out = ctx.q_binom(n, k) * x ** k
+    binom = ctx.q_binom(n, k)
+    if ctx.backend is Backend.EXACT:
+        a, d = ctx.q.value.as_integer_ratio()
+        u, v = x.value.as_integer_ratio()
+        num, a_s, d_s = u ** k, 1, 1
+        for _ in range(n - k):
+            num, a_s, d_s = num * (d_s * v - a_s * u), a_s * a, d_s * d
+        return binom * Scalar.exact(num, v ** n * d ** ((n - k) * (n - k - 1) // 2))
+    out, xv = binom.value * x.value ** k, x.value
     for s in range(n - k):
-        out = out * (ctx.one - ctx.q_power(s) * x)
-    return out
-
-
-def _gauss_coefficients(ctx: QContext, N: int, count: int) -> list[Scalar]:
-    """First `count` x^i coefficients (-1)^i q^(i(i-1)/2) [N choose i]_q of (1-x)_q^N."""
-    out = []
-    for i in range(min(count, N + 1)):
-        c = ctx.q_power(i * (i - 1) // 2) * ctx.q_binom(N, i)
-        out.append(-c if i % 2 else c)
-    return out
+        out = out * (1.0 - ctx.q_power(s).value * xv)
+    return Scalar.floating(out)
 
 
 def kernel_mass(spec: OperatorSpec, k: int) -> Scalar:
@@ -112,30 +117,30 @@ def kernel_mass(spec: OperatorSpec, k: int) -> Scalar:
     return ctx.q_binom(n, k) * ctx.q_power(k) * q_beta(k + 1, n - k + 1, ctx)
 
 
-def _kernel_weights(spec: OperatorSpec, p: Polynomial, k_max: int) -> list[Scalar]:
-    """Per-k weight [n+1]_q [n choose k]_q sum_m p_m B_q(k+m+1, n-k+1), k <= k_max.
+def _kernel_weight(k: int, n: int, weights, tails, s, d):
+    """d^(k(k-1)/2) L T W_k, W_k = sum_m p_m prod_{i<=m} [k+i]_q / [n+i+1]_q.
 
-    The q^(-k) prefactor and the q^k from p_{nk}(q; qt) have already been
-    cancelled against each other.
+    W_k = [n+1]_q [n choose k]_q sum_m p_m B_q(k+m+1, n-k+1).  weights[m] = L p_m,
+    tails[m] = S_{n+m+2} ... S_{n+deg+1}, T = tails[0], and every power of d
+    goes to the numerator: [k+i]_q / [n+i+1]_q = S_{k+i} d^(n-k+1) / S_{n+i+1}.
     """
-    n, ctx = spec.n, spec.ctx
-    lead = ctx.q_int(n + 1)
-    weights = []
-    for k in range(min(k_max, n) + 1):
-        inner = ctx.zero
-        for m, cm in enumerate(p.coeffs):
-            if cm.is_zero:
-                continue
-            inner = inner + cm * q_beta(k + m + 1, n - k + 1, ctx)
-        weights.append(lead * ctx.q_binom(n, k) * inner)
-    return weights
+    acc, rising, lift = 0, 1, d ** (n - k + 1)
+    for m, w in enumerate(weights):
+        if m:
+            rising *= s(k + m) * lift
+        if w:
+            acc += w * rising * tails[m]
+    return acc * d ** (k * (k - 1) // 2)
 
 
 def durrmeyer_apply_poly(spec: OperatorSpec, p: Polynomial) -> Polynomial:
     """Exact image of a polynomial under the operator of `spec`, as a polynomial in x.
 
-    A Stancu spec first composes p with the affine map.  Forms x^0 .. x^(top+1),
-    top = min(deg p, n), from the weights k <= top + 1.  x^(top+1) must
+    A Stancu spec first composes p with the affine map.  By Gauss's expansion
+    of (1-x)_q^(n-k) and [n choose k]_q [n-k choose i]_q = [n choose k+i]_q
+    [k+i choose i]_q, x^j has [n choose j]_q sum_i (-1)^i q^(i(i-1)/2)
+    [j choose i]_q W_{j-i}, W from `_kernel_weight`, formed for j <= top + 1,
+    top = min(deg p, n), with one Fraction per coefficient.  x^(top+1) must
     cancel: exact residue raises ArithmeticError, float is dropped.
     """
     n, ctx = spec.n, spec.ctx
@@ -147,19 +152,38 @@ def durrmeyer_apply_poly(spec: OperatorSpec, p: Polynomial) -> Polynomial:
         p = p.compose_affine(qn / denom, spec.alpha / denom)
     if p.is_zero:
         return Polynomial.zero(ctx.backend)
+    if ctx.backend is Backend.EXACT:
+        a, d = ctx.q.value.as_integer_ratio()
+        s, ratio, make = ctx.q_int_numerator, operator.floordiv, Fraction
+        lcm = math.lcm(*(c.value.denominator for c in p.coeffs))
+        weights = [c.value.numerator * (lcm // c.value.denominator) for c in p.coeffs]
+    else:  # the same products on floats, with S_k = [k]_q and d = 1
+        a, d, lcm, ratio = ctx.q.value, 1.0, 1, operator.truediv
+        s, make = (lambda i: ctx.q_int(i).value), ratio
+        weights = [c.value for c in p.coeffs]
+    tails = [1] * len(weights)
+    for m in range(len(weights) - 2, -1, -1):
+        tails[m] = tails[m + 1] * s(n + m + 2)
     top = min(p.degree, n)
-    out = [ctx.zero] * (top + 2)
-    for k, w in enumerate(_kernel_weights(spec, p, top + 1)):
-        if w.is_zero:
-            continue
-        w = w * ctx.q_binom(n, k)
-        for i, g in enumerate(_gauss_coefficients(ctx, n - k, top + 2 - k)):
-            out[k + i] = out[k + i] + w * g
-    residue = out.pop()
-    if ctx.backend is Backend.EXACT and not residue.is_zero:
-        raise ArithmeticError(
-            f"kernel sum left x^{top + 1} coefficient {residue} at n={n}; it must cancel"
-        )
+    w = [_kernel_weight(k, n, weights, tails, s, d) for k in range(min(top + 1, n) + 1)]
+    out, binom_n = [], 1
+    for j in range(len(w)):
+        if j:  # [n choose j]_q d^(j(n-j)), then [j choose i]_q d^(i(j-i))
+            binom_n = ratio(binom_n * s(n - j + 1), s(j))
+        inner, binom_j = 0, 1
+        for i in range(j + 1):
+            if i:
+                binom_j = ratio(binom_j * s(j - i + 1), s(i))
+            term = a ** (i * (i - 1) // 2) * binom_j * w[j - i]
+            inner += -term if i % 2 else term
+        den = d ** (j * (n - j) + j * (j - 1) // 2) * lcm * tails[0]
+        out.append(Scalar(make(binom_n * inner, den), ctx.backend))
+    if len(out) > top + 1:
+        residue = out.pop()
+        if ctx.backend is Backend.EXACT and not residue.is_zero:
+            raise ArithmeticError(
+                f"kernel sum left x^{top + 1} coefficient {residue} at n={n}; it must cancel"
+            )
     return Polynomial(out, ctx.backend)
 
 

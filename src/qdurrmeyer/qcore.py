@@ -225,9 +225,9 @@ class QContext:
     """The deformation parameter q plus the caches that depend on it.
 
     Requires 0 < q < 1 strictly.  Contexts are immutable after construction
-    and hash by identity.  Each context owns its q-integer tables and a
-    `memo` dict of moment results keyed by (function name, n, m); both are
-    freed with the context, so values computed for different q never mix and
+    and hash by identity.  Each context owns its q-integer and q-binomial
+    tables and a `memo` dict of moment results keyed by (function name, n,
+    m); all are freed with the context, so values for different q never mix and
     a sweep that drops its contexts does not accumulate them.  Cache growth
     is append-only under the GIL, which makes sharing a context across
     parallel workers safe.
@@ -237,7 +237,7 @@ class QContext:
     `q_int` is a running sum.
     """
 
-    __slots__ = ("q", "backend", "memo", "_qint", "_qnum", "_qfact", "_qpow")
+    __slots__ = ("q", "backend", "memo", "_qint", "_qnum", "_qfact", "_qbinom", "_qpow")
 
     def __init__(self, q: Scalar):
         if not isinstance(q, Scalar):
@@ -251,6 +251,7 @@ class QContext:
         object.__setattr__(self, "_qint", {0: Scalar.zero(q.backend), 1: one})
         object.__setattr__(self, "_qnum", {})
         object.__setattr__(self, "_qfact", [one, one])
+        object.__setattr__(self, "_qbinom", {})
         object.__setattr__(self, "_qpow", [one, q])
 
     def __setattr__(self, name, val):
@@ -334,10 +335,12 @@ class QContext:
         return table[n]
 
     def q_binom(self, n: int, k: int) -> Scalar:
-        """Gaussian binomial [n choose k]_q, requires 0 <= k <= n."""
+        """Gaussian binomial [n choose k]_q as a q-factorial quotient, cached; 0 <= k <= n."""
         if not 0 <= k <= n:
             raise DomainError(f"q-binomial needs 0 <= k <= n, got n={n} k={k}")
-        return self.q_fact(n) / (self.q_fact(k) * self.q_fact(n - k))
+        if (n, k) not in self._qbinom:
+            self._qbinom[n, k] = self.q_fact(n) / (self.q_fact(k) * self.q_fact(n - k))
+        return self._qbinom[n, k]
 
     def __repr__(self):
         return f"QContext(q={self.q}, backend={self.backend.value})"

@@ -107,11 +107,12 @@ def _check_beta_series(ctxs) -> VerifyEntry:
     # expand t^(a-1) (1-qt)_q^(b-1) as a polynomial, then integrate exactly
     bad = []
     for ctx in ctxs:
+        products = [Polynomial.one(ctx.backend)]  # products[r] = (1-qt)_q^r
+        for s in range(1, 19):
+            products.append(products[-1] * Polynomial((ctx.one, -ctx.q_power(s)), ctx.backend))
         for a in range(1, 10):
             for b in range(1, 21 - a):
-                poly = Polynomial.monomial(a - 1, ctx.backend)
-                for s in range(b - 1):
-                    poly = poly * Polynomial((ctx.one, -ctx.q_power(s + 1)), ctx.backend)
+                poly = products[b - 1].shift_up(a - 1)
                 integral = jackson_integral(poly.as_function_spec(), ctx)
                 if integral != q_beta(a, b, ctx):
                     bad.append(f"a={a} b={b} q={ctx.q}")

@@ -81,10 +81,15 @@ class TestCentralAndStancuCommands:
         assert "direct" in out and "recursion" in out
 
     def test_float_factorial_overflow_is_reported(self, capsys):
-        # an overflowed q-factorial would make the q-binomials inf/inf = nan
-        code, out, err = run(capsys, "moments", "--n", "200", "--q", "0.99", "--backend", "float")
-        assert (code, out) == (2, "")
-        assert "float q-factorial [186]_q! overflows" in err
+        # [186]_q! overflows at q = 0.99; the moment tables form no q-factorial
+        for command in (("moments",), ("central-moments",),
+                        ("stancu-moments", "--alpha", "1", "--beta", "2")):
+            code, out, _ = run(capsys, *command, "--n", "200", "--q", "0.99", "--backend", "float")
+            assert code == 0
+            rows = out.splitlines()[1:]
+            assert rows and all(line.endswith(",true") for line in rows)
+            assert "nan" not in out and "inf" not in out
+        # the black-box path still forms float q-binomials from q-factorials
         code, out, _ = run(capsys, "voronovskaja", "--f", "exp", "--backend", "float", "--x",
                            "0.3", "--q-seq", "one-minus-inv-n", "--n-list", "64,256")
         assert code == 3
@@ -398,6 +403,16 @@ INTEGER_ROW_EXAMPLES = [
 ]
 
 
+# stdout sha256 captured while the kernel sum still divided q-factorials; the
+# first command is the bench's verify run
+FACTORIAL_FREE_EXAMPLES = [
+    ("verify --n-max 10", 0,
+     "c19824ebd581e384a06f65095f7266e16b0e9e9c438a61fe9b1d284af9be8dea"),
+    ("moments --n 256 --q 65535/65536", 0,
+     "644fcd32f37d858fd83d1188800a219f1ef52460470d6c859276f38d224be4ea"),
+]
+
+
 def assert_pinned(capsys, command, exit_code, digest):
     code, out, _ = run(capsys, *command.split())
     assert code == exit_code
@@ -416,4 +431,9 @@ def test_benchmark_scale_output_is_pinned(capsys, command, exit_code, digest):
 
 @pytest.mark.parametrize("command, exit_code, digest", INTEGER_ROW_EXAMPLES)
 def test_integer_row_output_is_pinned(capsys, command, exit_code, digest):
+    assert_pinned(capsys, command, exit_code, digest)
+
+
+@pytest.mark.parametrize("command, exit_code, digest", FACTORIAL_FREE_EXAMPLES)
+def test_factorial_free_output_is_pinned(capsys, command, exit_code, digest):
     assert_pinned(capsys, command, exit_code, digest)

@@ -84,6 +84,35 @@ class TestRawMoments:
                     assert raw_moment_closed(n, m, ctx) == brute, (n, m, q)
                     assert rec[m] == brute, (n, m, q)
 
+    @pytest.mark.parametrize("n", (256, 1024))
+    def test_route_agreement_along_one_minus_inv_n_squared(self, n):
+        ctx = QContext.exact(1 - Fraction(1, n * n))
+        rec = raw_moment_recurrence(n, 4, ctx)
+        for m in range(5):
+            brute = raw_moment_brute(n, m, ctx)
+            assert raw_moment_closed(n, m, ctx) == brute == rec[m], (n, m)
+
+    def test_brute_route_forms_no_q_factorial(self):
+        # near q = 1 the q-factorials of n = 256 are megabit fractions; the
+        # kernel sum multiplies a few q-integers instead
+        ctx = QContext.exact(65535, 65536)
+        raw_moment_brute(256, 4, ctx)
+        assert len(ctx._qfact) <= 2
+
+    @pytest.mark.parametrize(
+        "n, q",
+        [(8, Fraction(1, 2)), (64, 1 - Fraction(1, 64 ** 2)),
+         (200, Fraction("0.99")), (1024, Fraction("0.999"))],
+    )
+    def test_float_brute_matches_the_exact_table(self, n, q):
+        # past n = 185 at q = 0.99 a float q-factorial overflows; the kernel sum forms none
+        fctx, ectx = QContext.floating(float(q)), QContext.exact(q)
+        for m in range(5):
+            got, want = raw_moment_brute(n, m, fctx), raw_moment_closed(n, m, ectx)
+            for i in range(m + 1):
+                err = abs(Fraction(got.coefficient(i).value) - want.coefficient(i).value)
+                assert err < Fraction(1, 10 ** 12), (n, q, m, i)
+
     def test_closed_equals_brute_coefficientwise_example(self):
         ctx = QContext.exact(3, 4)
         assert raw_moment_closed(3, 4, ctx) == raw_moment_brute(3, 4, ctx)
@@ -362,6 +391,16 @@ class TestStancuMoments:
             for n in range(1, 5):
                 for m in range(7):
                     assert stancu_moment(n, m, ctx, zero, zero) == raw_moment_brute(n, m, ctx)
+
+    def test_direct_equals_recursion_near_one(self):
+        n = 256
+        ctx = QContext.exact(1 - Fraction(1, n * n))
+        alpha, beta = Scalar.exact(1, 3), Scalar.exact(1, 2)
+        spec = OperatorSpec(n, ctx, alpha, beta)
+        for m in range(5):
+            direct = durrmeyer_apply_poly(spec, Polynomial.monomial(m, Backend.EXACT))
+            assert direct == stancu_moment(n, m, ctx, alpha, beta), m
+            assert direct == stancu_moment(n, m, ctx, alpha, beta, raw_route="closed"), m
 
     def test_closed_raw_route_equals_brute_raw_route(self, ctx_half):
         alpha, beta = Scalar.exact(1), Scalar.exact(3)

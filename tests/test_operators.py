@@ -65,6 +65,23 @@ class TestBernsteinBasis:
                         total = total + bernstein_basis(spec, k, x)
                     assert total == 1, (n, q, xf)
 
+    def test_equals_the_scalar_product(self):
+        # [n choose k]_q x^k prod_{s<n-k} (1 - q^s x) in Scalar arithmetic;
+        # float values must keep its bits
+        for ctx, xs in (
+            (QContext.exact(13, 16), [Scalar.exact(i, 7) for i in range(8)]),
+            (QContext.floating(0.93), [Scalar.floating(i / 7) for i in range(8)]),
+        ):
+            for n in (1, 5, 17):
+                spec = OperatorSpec(n, ctx)
+                for k in range(n + 1):
+                    for x in xs:
+                        want = ctx.q_binom(n, k) * x ** k
+                        for s in range(n - k):
+                            want = want * (ctx.one - ctx.q_power(s) * x)
+                        got = bernstein_basis(spec, k, x)
+                        assert got.backend is want.backend and got.value == want.value
+
     def test_nonnegative_on_unit_interval(self, ctx_half):
         spec = OperatorSpec(6, ctx_half)
         for xf in X_GRID_16:
@@ -175,17 +192,43 @@ class TestDurrmeyerPolynomial:
                     assert durrmeyer_apply_poly(spec, p) == self._product_expansion(n, ctx, p)
 
     def test_cancellation_check_fires(self, ctx_half, monkeypatch):
-        # perturb only B_q(1, n+1), the k = 0 weight of p = 1, so x^1 cannot cancel
+        # perturb only the k = 0 weight of p = 1, so x^1 cannot cancel
         n = 5
-        real = operators.q_beta
+        real = operators._kernel_weight
 
-        def perturbed(a, b, ctx):
-            value = real(a, b, ctx)
-            return value * Fraction(1001, 1000) if (a, b) == (1, n + 1) else value
+        def perturbed(k, *args):
+            value = real(k, *args)
+            return value * Fraction(1001, 1000) if k == 0 else value
 
-        monkeypatch.setattr(operators, "q_beta", perturbed)
+        monkeypatch.setattr(operators, "_kernel_weight", perturbed)
         with pytest.raises(ArithmeticError):
             durrmeyer_apply_poly(OperatorSpec(n, ctx_half), Polynomial.one(Backend.EXACT))
+
+
+@pytest.mark.parametrize("q", (Fraction(1, 2), Fraction(13, 16)))
+class TestKernelIdentities:
+    """The product identities behind the kernel sum, against q-factorial forms."""
+
+    def test_beta_weight_is_a_ratio_of_q_integers(self, q):
+        # [n+1]_q [n choose k]_q B_q(k+m+1, n-k+1) = prod_{i<=m} [k+i]_q / prod_{i<=m} [n+i+1]_q
+        ctx = QContext.exact(q)
+        for n in range(1, 41):
+            for k in range(n + 1):
+                ratio = ctx.one
+                for m in range(7):
+                    if m:
+                        ratio = ratio * ctx.q_int(k + m) / ctx.q_int(n + m + 1)
+                    weight = ctx.q_int(n + 1) * ctx.q_binom(n, k)
+                    assert weight * operators.q_beta(k + m + 1, n - k + 1, ctx) == ratio, (n, k, m)
+
+    def test_binomial_products_regroup(self, q):
+        # [n choose k]_q [n-k choose i]_q = [n choose k+i]_q [k+i choose i]_q
+        ctx = QContext.exact(q)
+        b = ctx.q_binom
+        for n in range(1, 41):
+            for k in range(n + 1):
+                for i in range(min(7, n - k) + 1):
+                    assert b(n, k) * b(n - k, i) == b(n, k + i) * b(k + i, i), (n, k, i)
 
 
 class TestDurrmeyerFunction:

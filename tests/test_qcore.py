@@ -172,6 +172,10 @@ class TestQBinomial:
         with pytest.raises(DomainError):
             ctx_half.q_binom(3, 4)
 
+    def test_repeated_calls_return_the_identical_object(self):
+        ctx = QContext.exact(13, 16)
+        assert ctx.q_binom(30, 11) is ctx.q_binom(30, 11)
+
     @given(q=rational_q, n=st.integers(1, 24))
     @settings(max_examples=40, deadline=None)
     def test_both_pascal_recursions(self, q, n):
