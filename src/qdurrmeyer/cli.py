@@ -94,6 +94,10 @@ def _parse_grid(text: str, backend: Backend) -> list[Scalar]:
         raise UsageError("grid step count must be an integer") from None
     if steps < 1:
         raise UsageError("grid needs at least one step")
+    if steps > 1 and a == b:
+        raise UsageError(f"grid {text!r} repeats its one point {steps} times")
+    if steps == 1 and a != b:
+        raise UsageError(f"grid {text!r} has one step, so it would drop its endpoint {parts[1]}")
     if steps == 1:
         values = [a]
     else:

@@ -102,6 +102,26 @@ def _validate_nm(n: int, m: int):
         raise DomainError("moment order m must be >= 0")
 
 
+def _memo_on_context(fn):
+    """Memoize fn(*args) in the memo of its QContext argument, freed with it; hits are identical.
+
+    The key is fn's name and the other arguments, a Scalar by its raw value.  Public callers of
+    a private fn check its Scalars first; an int that fn refuses raises and is never stored.
+    """
+
+    @functools.wraps(fn)
+    def memoized(*args):
+        ctx = next(a for a in args if isinstance(a, QContext))
+        key = (fn.__name__,) + tuple(a.value if isinstance(a, Scalar) else a
+                                     for a in args if a is not ctx)
+        try:
+            return ctx.memo[key]
+        except KeyError:
+            return ctx.memo.setdefault(key, fn(*args))
+
+    return memoized
+
+
 def _q_falling(n: int, j: int, ctx: QContext) -> Scalar:
     """[n]_q [n-1]_q ... [n-j+1]_q; zero as soon as the index reaches 0."""
     out = ctx.one
@@ -112,30 +132,14 @@ def _q_falling(n: int, j: int, ctx: QContext) -> Scalar:
     return out
 
 
-def _q_weights(ctx: QContext, coeffs: Sequence[int]) -> Scalar:
+@_memo_on_context
+def _q_weights(ctx: QContext, coeffs: tuple[int, ...]) -> Scalar:
     """sum_i coeffs[i] q^i as a Scalar."""
     out = ctx.zero
     for i, c in enumerate(coeffs):
         if c:
             out = out + ctx.q_power(i) * c
     return out
-
-
-def _memo_on_context(fn):
-    """Memoize fn(n, m, ctx) in ctx.memo, so each entry is freed with ctx.
-
-    Repeated calls with one context return the identical object.
-    """
-
-    @functools.wraps(fn)
-    def memoized(n: int, m: int, ctx: QContext):
-        key = (fn.__name__, n, m)
-        try:
-            return ctx.memo[key]
-        except KeyError:
-            return ctx.memo.setdefault(key, fn(n, m, ctx))
-
-    return memoized
 
 
 # -- raw moments ---------------------------------------------------------------
@@ -337,6 +341,7 @@ def raw_moment_recurrence(n: int, m_max: int, ctx: QContext) -> list[Polynomial]
 # -- central moments ------------------------------------------------------------
 
 
+@_memo_on_context
 def central_factor_expand(m: int, ctx: QContext) -> BivariateExpansion:
     """(t-x)_q^m = prod_{s=0}^{m-1} (t - q^s x), expanded in powers of t."""
     if m < 0:
@@ -394,9 +399,7 @@ def central_moment(n: int, m: int, ctx: QContext, route: str = ROUTE_EXPANSION) 
     if m < 1:
         raise DomainError("central moments start at m = 1")
     if route == ROUTE_EXPANSION:
-        expansion = central_factor_expand(m, ctx)
-        images = [raw_moment_brute(n, j, ctx) for j in range(m + 1)]
-        return expansion.contract(images)
+        return _central_expansion(n, m, ctx)
     if route == ROUTE_CLOSED:
         if m > CLOSED_MAX_M:
             raise DomainError(f"closed central moments stop at m = {CLOSED_MAX_M}")
@@ -406,6 +409,13 @@ def central_moment(n: int, m: int, ctx: QContext, route: str = ROUTE_EXPANSION) 
             total = total + weight * raw_moment_closed(n, j, ctx)
         return total
     raise DomainError(f"unknown central-moment route {route!r}")
+
+
+@_memo_on_context
+def _central_expansion(n: int, m: int, ctx: QContext) -> Polynomial:
+    """The expansion route of `central_moment`, for validated arguments."""
+    images = [raw_moment_brute(n, j, ctx) for j in range(m + 1)]
+    return central_factor_expand(m, ctx).contract(images)
 
 
 # -- Stancu moments ---------------------------------------------------------------
@@ -422,6 +432,13 @@ def _stancu_terms(n, m, ctx, alpha, beta, raw_route):
         if not c.is_zero:
             terms.append((c, raw(n, j, ctx)))
     return terms
+
+
+@_memo_on_context
+def _stancu_recursion(n, m, ctx, alpha, beta, raw_route) -> Polynomial:
+    """The recursion route of `stancu_moment`, for validated arguments."""
+    terms = _stancu_terms(n, m, ctx, alpha, beta, raw_route)
+    return sum((p.scale(c) for c, p in terms), Polynomial.zero(ctx.backend))
 
 
 def stancu_moment_at(n, m, ctx, alpha, beta, x: Scalar, raw_route=ROUTE_BRUTE) -> Scalar:
@@ -454,8 +471,7 @@ def stancu_moment(
     _validate_nm(n, m)
     check_stancu_parameters(alpha, beta, ctx.backend)
     if route == ROUTE_STANCU_RECURSION:
-        terms = _stancu_terms(n, m, ctx, alpha, beta, raw_route)
-        return sum((p.scale(c) for c, p in terms), Polynomial.zero(ctx.backend))
+        return _stancu_recursion(n, m, ctx, alpha, beta, raw_route)
     if route == ROUTE_CLOSED:
         if m > 2:
             raise DomainError("closed stancu tables stop at m = 2; use the recursion")

@@ -88,8 +88,8 @@ def _check_point(x: Scalar, ctx: QContext):
 def bernstein_basis(spec: OperatorSpec, k: int, x: Scalar) -> Scalar:
     """p_{nk}(q; x), nonnegative on [0, 1].
 
-    Exact, with q = a/d and x = u/v: [n choose k]_q u^k prod_{s<n-k} (d^s v - a^s u)
-    / (v^n d^((n-k)(n-k-1)/2)).  Float: raw floats in the Scalar order, wrapped once.
+    Exact, q = a/d, x = u/v, [n choose k]_q = b1/b2: one Fraction b1 u^k prod_{s<n-k}
+    (d^s v - a^s u) / (b2 v^n d^C(n-k, 2)).  Float: raw floats in the Scalar order, wrapped once.
     """
     n, ctx = spec.n, spec.ctx
     if not 0 <= k <= n:
@@ -99,10 +99,10 @@ def bernstein_basis(spec: OperatorSpec, k: int, x: Scalar) -> Scalar:
     if ctx.backend is Backend.EXACT:
         a, d = ctx.q.value.as_integer_ratio()
         u, v = x.value.as_integer_ratio()
-        num, a_s, d_s = u ** k, 1, 1
+        num, a_s, d_s = binom.value.numerator * u ** k, 1, 1
         for _ in range(n - k):
             num, a_s, d_s = num * (d_s * v - a_s * u), a_s * a, d_s * d
-        return binom * Scalar.exact(num, v ** n * d ** ((n - k) * (n - k - 1) // 2))
+        return Scalar.exact(num, binom.value.denominator * v ** n * d ** math.comb(n - k, 2))
     out, xv = binom.value * x.value ** k, x.value
     for s in range(n - k):
         out = out * (1.0 - ctx.q_power(s).value * xv)

@@ -3,11 +3,19 @@
 Moment formulas live here as polynomials in x, and the q-shifted central
 factors (t - x)(t - qx)...(t - q^(m-1) x) as expansions in t whose
 coefficients are x-polynomials.  Everything is immutable value semantics.
+
+The public constructor checks every coefficient.  The algebra computes on
+raw `.value`s, starting from the backend's own zero (`Fraction(0)` or `0.0`)
+and in the order of the Scalar operations, so float results are bit-identical
+to working one Scalar at a time; the trusted `Polynomial._like` strips
+exact trailing zeros and wraps each result coefficient once.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
+from itertools import zip_longest
 from typing import Iterable, Sequence
 
 from .errors import BackendMismatchError, DomainError
@@ -16,6 +24,26 @@ from .qcore import Backend, FunctionSpec, QContext, Scalar, horner
 __all__ = ["Polynomial", "BivariateExpansion"]
 
 _NEG_INF = float("-inf")
+_ZERO = {b: Scalar.zero(b) for b in Backend}  # raw values Fraction(0) and 0.0
+
+
+def _strip(values: list) -> list:
+    while values and values[-1] == 0:
+        values.pop()
+    return values
+
+
+def _add(a: list, b: list, zero, op=operator.add) -> list:
+    return [op(x, y) for x, y in zip_longest(a, b, fillvalue=zero)]
+
+
+def _mul(a: list, b: list, zero) -> list:
+    out = [zero] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a if b else ()):
+        if x != 0:
+            for j, y in enumerate(b):
+                out[i + j] = out[i + j] + x * y
+    return out
 
 
 class Polynomial:
@@ -44,6 +72,16 @@ class Polynomial:
         object.__setattr__(self, "coeffs", tuple(coeffs))
         object.__setattr__(self, "backend", backend)
 
+    def _like(self, values: Iterable) -> "Polynomial":
+        """Trusted constructor: raw Fractions or floats of this backend, each wrapped once."""
+        out, wrap = object.__new__(Polynomial), _ZERO[self.backend]._wrap
+        object.__setattr__(out, "coeffs", tuple(map(wrap, _strip(list(values)))))
+        object.__setattr__(out, "backend", self.backend)
+        return out
+
+    def _values(self) -> list:
+        return [c.value for c in self.coeffs]
+
     def __setattr__(self, name, val):
         raise AttributeError("Polynomial is immutable")
 
@@ -56,10 +94,6 @@ class Polynomial:
     @classmethod
     def one(cls, backend: Backend) -> "Polynomial":
         return cls((Scalar.one(backend),))
-
-    @classmethod
-    def constant(cls, c: Scalar) -> "Polynomial":
-        return cls((c,))
 
     @classmethod
     def monomial(cls, m: int, backend: Backend, coeff: Scalar | None = None) -> "Polynomial":
@@ -90,55 +124,40 @@ class Polynomial:
             return self.coeffs[i]
         return Scalar.zero(self.backend)
 
-    def _check(self, other: "Polynomial"):
+    def _operands(self, other: "Polynomial") -> tuple:
+        """The raw values of self and of a checked other, and the backend's zero."""
         if not isinstance(other, Polynomial):
             raise TypeError("expected a Polynomial")
         if other.backend is not self.backend:
             raise BackendMismatchError("polynomial backends differ")
+        return self._values(), other._values(), _ZERO[self.backend].value
 
     # -- ring operations -------------------------------------------------------
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
-        self._check(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Polynomial(
-            (self.coefficient(i) + other.coefficient(i) for i in range(n)), self.backend
-        )
+        return self._like(_add(*self._operands(other)))
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
-        self._check(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Polynomial(
-            (self.coefficient(i) - other.coefficient(i) for i in range(n)), self.backend
-        )
+        return self._like(_add(*self._operands(other), operator.sub))
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial((-c for c in self.coeffs), self.backend)
+        return self._like([-c.value for c in self.coeffs])
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
-        self._check(other)
-        if self.is_zero or other.is_zero:
-            return Polynomial.zero(self.backend)
-        out = [Scalar.zero(self.backend)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return Polynomial(out, self.backend)
+        return self._like(_mul(*self._operands(other)))
 
     def scale(self, s) -> "Polynomial":
-        if isinstance(s, int):
-            s = Scalar(s, self.backend)
-        if s.backend is not self.backend:
-            raise BackendMismatchError("scale factor backend differs")
-        return Polynomial((c * s for c in self.coeffs), self.backend)
+        """Multiply by s: a Scalar of this backend, an int, or a Fraction on the exact backend."""
+        v = _ZERO[self.backend]._lift(s)
+        if v is NotImplemented:
+            raise TypeError(f"cannot scale a polynomial by {type(s).__name__}")
+        return self._like([c.value * v for c in self.coeffs])
 
     def shift_up(self, k: int = 1) -> "Polynomial":
         """Multiply by X^k."""
         if self.is_zero:
             return self
-        return Polynomial([Scalar.zero(self.backend)] * k + list(self.coeffs), self.backend)
+        return self._like([_ZERO[self.backend].value] * k + self._values())
 
     # -- evaluation and calculus --------------------------------------------------
 
@@ -153,9 +172,8 @@ class Polynomial:
         """Termwise rule: the X^(m-1) coefficient becomes [m]_q * coeffs[m]."""
         if ctx.backend is not self.backend:
             raise BackendMismatchError("context backend differs")
-        return Polynomial(
-            (ctx.q_int(m) * self.coeffs[m] for m in range(1, len(self.coeffs))),
-            self.backend,
+        return self._like(
+            [ctx.q_int(m).value * self.coeffs[m].value for m in range(1, len(self.coeffs))]
         )
 
     def derivative(self) -> "Polynomial":
@@ -168,11 +186,10 @@ class Polynomial:
         """The polynomial p(a*X + b), expanded exactly."""
         if a.backend is not self.backend or b.backend is not self.backend:
             raise BackendMismatchError("affine parameters backend differs")
-        inner = Polynomial((b, a), self.backend)
-        acc = Polynomial.zero(self.backend)
+        zero, inner, acc = _ZERO[self.backend].value, _strip([b.value, a.value]), []
         for c in reversed(self.coeffs):
-            acc = acc * inner + Polynomial.constant(c)
-        return acc
+            acc = _add(_mul(acc, inner, zero), _strip([c.value]), zero)
+        return self._like(acc)
 
     def as_function_spec(self) -> FunctionSpec:
         coeffs = self.coeffs if self.coeffs else (Scalar.zero(self.backend),)
@@ -224,11 +241,6 @@ class BivariateExpansion:
     def t_degree(self) -> int:
         return len(self.t_coeffs) - 1
 
-    def coefficient(self, j: int) -> Polynomial:
-        if 0 <= j < len(self.t_coeffs):
-            return self.t_coeffs[j]
-        return Polynomial.zero(self.backend)
-
     def eval(self, t: Scalar, x: Scalar) -> Scalar:
         return horner([p.eval(x) for p in self.t_coeffs], t)
 
@@ -236,10 +248,10 @@ class BivariateExpansion:
         """Substitute x-polynomials for the powers of t: sum_j c_j(x) * images[j]."""
         if len(images) < len(self.t_coeffs):
             raise DomainError("need one image polynomial per power of t")
-        acc = Polynomial.zero(self.backend)
+        zero, acc = _ZERO[self.backend].value, []
         for cj, img in zip(self.t_coeffs, images):
-            acc = acc + cj * img
-        return acc
+            acc = _add(acc, _mul(*cj._operands(img)), zero)
+        return self.t_coeffs[0]._like(acc)
 
     def __eq__(self, other):
         if not isinstance(other, BivariateExpansion):

@@ -74,7 +74,7 @@ class Scalar:
         if backend is Backend.EXACT:
             if isinstance(value, float):
                 raise BackendMismatchError("exact scalar built from a float")
-            value = Fraction(value)
+            value = value if type(value) is Fraction else Fraction(value)
         elif backend is Backend.FLOAT:
             value = float(value)
         else:
@@ -226,11 +226,11 @@ class QContext:
 
     Requires 0 < q < 1 strictly.  Contexts are immutable after construction
     and hash by identity.  Each context owns its q-integer and q-binomial
-    tables and a `memo` dict of moment results keyed by (function name, n,
-    m); all are freed with the context, so values for different q never mix and
-    a sweep that drops its contexts does not accumulate them.  Cache growth
-    is append-only under the GIL, which makes sharing a context across
-    parallel workers safe.
+    tables and a `memo` dict keyed by a function (or route) name plus the other
+    arguments as raw values, a Scalar by its Fraction or float; all are freed
+    with the context, so values for different q never mix and a sweep that
+    drops its contexts does not accumulate them.  Cache growth is append-only
+    under the GIL, which makes sharing a context across parallel workers safe.
 
     Exact `q_int(n)` is S_n / d^(n-1), S_n = (d^n - a^n)/(d - a) for q = a/d in
     lowest terms, with S_n cached per index by `q_int_numerator`; float
@@ -267,11 +267,11 @@ class QContext:
 
     @property
     def zero(self) -> Scalar:
-        return Scalar.zero(self.backend)
+        return self._qint[0]
 
     @property
     def one(self) -> Scalar:
-        return Scalar.one(self.backend)
+        return self._qint[1]
 
     def scalar(self, value) -> Scalar:
         """Lift an int or Fraction into this context's backend."""
@@ -612,8 +612,10 @@ def jackson_integral(
     ignored.  Everything else goes through the truncated Jackson series.
     """
     if f.is_polynomial:
-        total = ctx.zero
+        if f.backend is not ctx.backend:
+            raise BackendMismatchError("polynomial backend differs from context")
+        total = ctx.zero.value  # a loop, not sum(): later Pythons compensate float sums
         for m, c in enumerate(f.coeffs):
-            total = total + c / ctx.q_int(m + 1)
-        return total
+            total = total + c.value / ctx.q_int(m + 1).value
+        return Scalar(total, ctx.backend)
     return jackson_series(f.evaluate, ctx, tol=tol, max_terms=max_terms)

@@ -126,10 +126,8 @@ def _check_partition_of_unity(ctxs, n_max) -> VerifyEntry:
             spec = OperatorSpec(n, ctx)
             for xf in _X_GRID_16:
                 x = ctx.scalar(xf)
-                total = ctx.zero
-                for k in range(n + 1):
-                    total = total + bernstein_basis(spec, k, x)
-                if total != ctx.one:
+                total = sum(bernstein_basis(spec, k, x).value for k in range(n + 1))
+                if total != ctx.one.value:
                     bad.append(f"n={n} q={ctx.q} x={xf}")
     return _entry("partition-of-unity", bad)
 
@@ -141,15 +139,10 @@ def _check_kernel_mass(ctxs, n_max) -> VerifyEntry:
             spec = OperatorSpec(n, ctx)
             for xf in (Fraction(1, 3), Fraction(4, 7)):
                 x = ctx.scalar(xf)
-                total = ctx.zero
-                for k in range(n + 1):
-                    total = total + (
-                        ctx.q_int(n + 1)
-                        * ctx.q_power(-k)
-                        * kernel_mass(spec, k)
-                        * bernstein_basis(spec, k, x)
-                    )
-                if total != ctx.one:
+                lead = ctx.q_int(n + 1).value
+                terms = (lead * ctx.q_power(-k).value * kernel_mass(spec, k).value
+                         * bernstein_basis(spec, k, x).value for k in range(n + 1))
+                if sum(terms) != ctx.one.value:
                     bad.append(f"n={n} q={ctx.q} x={xf}")
     return _entry("kernel-mass-total", bad)
 

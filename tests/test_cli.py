@@ -1,7 +1,11 @@
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -211,6 +215,21 @@ class TestVoronovskajaCommand:
         assert out == ""
         assert err.startswith("usage error: cannot parse number '1/0'")
 
+    @pytest.mark.parametrize("grid, reason", [
+        ("0.2:0.2:3", "repeats its one point 3 times"),
+        ("0.2:0.4:1", "has one step, so it would drop its endpoint 0.4"),
+    ])
+    def test_degenerate_grid_is_usage_error(self, capsys, grid, reason):
+        code, out, err = run(capsys, "voronovskaja", "--x-grid", grid)
+        assert (code, out) == (2, "")
+        assert err == f"usage error: grid '{grid}' {reason}\n"
+
+    def test_one_point_grid_is_accepted(self, capsys):
+        code, out, _ = run(capsys, "voronovskaja", "--x-grid", "0.3:0.3:1", "--n-list", "4,8",
+                           "--q-seq", "one-minus-inv-n-squared", "--format", "csv")
+        assert code in (0, 3)
+        assert len(out.splitlines()) == 1 + 2
+
     def test_boundary_x_rejected(self, capsys):
         code, _, _ = run(capsys, "voronovskaja", "--x", "0")
         assert code == 2
@@ -313,6 +332,15 @@ class TestRemainderCommand:
 
 
 class TestVerifyCommand:
+    def test_runs_as_a_module(self):
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-m", "qdurrmeyer", "verify", "--n-max", "2"],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout)["verdict"] == "pass"
+
     def test_report(self, tmp_path):
         out = tmp_path / "report.json"
         assert main(["verify", "--n-max", "5", "--out", str(out)]) == 0

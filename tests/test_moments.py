@@ -1,5 +1,8 @@
 import gc
+import inspect
 import math
+import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -26,6 +29,7 @@ from qdurrmeyer import (
     transcription_audit,
     voronovskaja_lhs,
 )
+from qdurrmeyer import moments
 from qdurrmeyer.asymptotics import QSequence, convergence_table
 from qdurrmeyer.moments import (
     MomentReport,
@@ -37,6 +41,7 @@ from qdurrmeyer.moments import (
     stated_raw_moment,
     stancu_moment_at,
 )
+from qdurrmeyer.verify import build_report
 
 from conftest import Q_GRID
 
@@ -279,6 +284,38 @@ class TestContextMemo:
         before = live_contexts()
         for _ in range(20):
             convergence_table(f, x, seq, [4, 8, 16], max_terms=200)
+        assert live_contexts() <= before
+
+    def test_verify_builds_each_expansion_and_stancu_recursion_once(self):
+        # count executions of the function bodies, below any memo wrapper
+        bodies = {
+            inspect.unwrap(moments.central_factor_expand).__code__:
+                lambda v: ("expand", v["m"], id(v["ctx"])),
+            moments._stancu_terms.__code__:
+                lambda v: ("stancu", v["n"], v["m"], v["alpha"].value, v["beta"].value,
+                           v["raw_route"], id(v["ctx"])),
+        }
+        runs = Counter()
+
+        def count(frame, event, arg):
+            if event == "call" and frame.f_code in bodies:
+                runs[bodies[frame.f_code](frame.f_locals)] += 1
+
+        sys.setprofile(count)
+        try:
+            report = build_report(10)
+        finally:
+            sys.setprofile(None)
+        assert report["verdict"] == "pass"
+        for body in ("expand", "stancu"):
+            counts = [n for key, n in runs.items() if key[0] == body]
+            assert counts and max(counts) == 1, (body, runs.most_common(3))
+
+    def test_verify_leaves_no_contexts_behind(self):
+        build_report(4)
+        before = live_contexts()
+        for _ in range(3):
+            build_report(4)
         assert live_contexts() <= before
 
     def test_repeated_calls_share_one_result(self):

@@ -1,3 +1,5 @@
+import operator
+import random
 from fractions import Fraction
 
 import pytest
@@ -147,3 +149,128 @@ class TestBivariateExpansion:
     def test_t_degree(self):
         e = BivariateExpansion([Polynomial.one(Backend.EXACT)])
         assert e.t_degree == 0
+
+
+# -- raw-value algebra against a reference that works one Scalar at a time ----------
+
+
+def ref_add(a, b, op=operator.add):
+    n = max(len(a.coeffs), len(b.coeffs))
+    return Polynomial([op(a.coefficient(i), b.coefficient(i)) for i in range(n)], a.backend)
+
+
+def ref_mul(a, b):
+    if a.is_zero or b.is_zero:
+        return Polynomial.zero(a.backend)
+    out = [Scalar.zero(a.backend)] * (len(a.coeffs) + len(b.coeffs) - 1)
+    for i, x in enumerate(a.coeffs):
+        if x.is_zero:
+            continue
+        for j, y in enumerate(b.coeffs):
+            out[i + j] = out[i + j] + x * y
+    return Polynomial(out, a.backend)
+
+
+def ref_compose_affine(p, a, b):
+    inner, acc = Polynomial((b, a), p.backend), Polynomial.zero(p.backend)
+    for c in reversed(p.coeffs):
+        acc = ref_add(ref_mul(acc, inner), Polynomial((c,), p.backend))
+    return acc
+
+
+def ref_contract(expansion, images):
+    acc = Polynomial.zero(expansion.backend)
+    for cj, img in zip(expansion.t_coeffs, images):
+        acc = ref_add(acc, ref_mul(cj, img))
+    return acc
+
+
+def _random_value(rng, backend):
+    roll = rng.random()
+    if roll < 0.2:
+        return Scalar.zero(backend)
+    if backend is Backend.EXACT:
+        return Scalar.exact(rng.randint(-7, 7), rng.randint(1, 9))
+    if roll < 0.25:
+        return Scalar.floating(-0.0)
+    return Scalar.floating(rng.uniform(-3.0, 3.0))
+
+
+def _random_poly(rng, backend):
+    coeffs = [_random_value(rng, backend) for _ in range(rng.randint(0, 6))]
+    coeffs += [Scalar.zero(backend)] * rng.randint(0, 2)  # the constructor strips these
+    return Polynomial(coeffs, backend)
+
+
+def _same(got, want):
+    assert type(got) is Polynomial and got.backend is want.backend
+    assert all(type(c) is Scalar and c.backend is got.backend for c in got.coeffs)
+    if got.backend is Backend.EXACT:
+        assert all(type(c.value) is Fraction for c in got.coeffs)
+        assert got == want
+    else:
+        assert [c.value.hex() for c in got.coeffs] == [c.value.hex() for c in want.coeffs]
+
+
+@pytest.mark.parametrize("backend", list(Backend))
+def test_raw_value_algebra_matches_scalar_reference(backend):
+    rng = random.Random(20261018 if backend is Backend.EXACT else 17)
+    ctx = QContext.exact(2, 5) if backend is Backend.EXACT else QContext.floating(0.37)
+    cancellations = 0
+    for _ in range(150):
+        a, b = _random_poly(rng, backend), _random_poly(rng, backend)
+        # same top coefficient as a, so a - top cancels to a lower degree
+        top = Polynomial([_random_value(rng, backend) for _ in a.coeffs[1:]] + list(a.coeffs[-1:]),
+                         backend)
+        s, t = _random_value(rng, backend), _random_value(rng, backend)
+        cases = [
+            (a + b, ref_add(a, b)),
+            (a - b, ref_add(a, b, operator.sub)),
+            (a - a, Polynomial.zero(backend)),
+            (a - top, ref_add(a, top, operator.sub)),
+            (a + (-a), ref_add(a, Polynomial([-c for c in a.coeffs], backend))),
+            (-a, Polynomial([-c for c in a.coeffs], backend)),
+            (a * b, ref_mul(a, b)),
+            (a.scale(s), Polynomial([c * s for c in a.coeffs], backend)),
+            (a.scale(3), Polynomial([c * 3 for c in a.coeffs], backend)),
+            (a.q_derivative(ctx), Polynomial([ctx.q_int(m) * a.coeffs[m]
+                                        for m in range(1, len(a.coeffs))], backend)),
+            (a.compose_affine(s, t), ref_compose_affine(a, s, t)),
+        ]
+        k = rng.randint(0, 3)
+        zeros = [Scalar.zero(backend)] * k
+        cases.append((a.shift_up(k), a if a.is_zero else Polynomial(zeros + list(a.coeffs), backend)))
+        expansion = BivariateExpansion([_random_poly(rng, backend) for _ in range(rng.randint(1, 4))])
+        images = [_random_poly(rng, backend) for _ in range(len(expansion.t_coeffs))]
+        cases.append((expansion.contract(images), ref_contract(expansion, images)))
+        for got, want in cases:
+            _same(got, want)
+        cancellations += (a - top).degree < a.degree
+    assert cancellations > 100
+
+
+def test_scale_lifts_its_factor_like_a_scalar_operand():
+    exact = Polynomial.from_fractions([1, 2])
+    assert exact.scale(Fraction(1, 2)) == Polynomial.from_fractions([Fraction(1, 2), 1])
+    assert exact.scale(3) == Polynomial.from_fractions([3, 6])
+    floats = Polynomial((Scalar.floating(1.5), Scalar.floating(-2.0)))
+    assert floats.scale(2) == Polynomial((Scalar.floating(3.0), Scalar.floating(-4.0)))
+    with pytest.raises(BackendMismatchError):
+        floats.scale(Fraction(1, 2))
+    with pytest.raises(BackendMismatchError):
+        exact.scale(Scalar.floating(2.0))
+    with pytest.raises(TypeError):
+        exact.scale("2")
+    with pytest.raises(TypeError):
+        exact.scale(None)
+
+
+def test_public_constructor_still_checks_its_coefficients():
+    with pytest.raises(TypeError):
+        Polynomial([Fraction(1)], Backend.EXACT)
+    with pytest.raises(TypeError):
+        Polynomial([Scalar.exact(1), 2])
+    with pytest.raises(BackendMismatchError):
+        Polynomial([Scalar.exact(1), Scalar.floating(1.0)])
+    with pytest.raises(BackendMismatchError):
+        Polynomial([Scalar.floating(1.0)], Backend.EXACT)
