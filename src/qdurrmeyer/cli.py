@@ -27,7 +27,6 @@ from .asymptotics import (
 )
 from .errors import DomainError, SingularRemainderError
 from .moments import (
-    CLOSED_MAX_M,
     central_moment,
     raw_moment_brute,
     raw_moment_closed,
@@ -235,10 +234,8 @@ def _emit(cfg: RunConfig, header: Sequence[str], rows: list[list[str]], verdict:
 def _raw_routes(n: int, m: int, ctx: QContext, opts: dict):
     rec = recurrence_reports(n, opts["m_max"], ctx)[m]
     brute = raw_moment_brute(n, m, ctx)
-    routes = [("brute", brute), (rec.route, rec.value)]
-    if m <= CLOSED_MAX_M:
-        routes.insert(0, ("closed", raw_moment_closed(n, m, ctx)))
-    return brute, routes
+    closed = raw_moment_closed(n, m, ctx)
+    return brute, [("closed", closed), ("brute", brute), (rec.route, rec.value)]
 
 
 def _central_routes(n: int, m: int, ctx: QContext, opts: dict):
@@ -464,8 +461,8 @@ def _build_config(args) -> RunConfig:
             raise UsageError("n must be >= 1")
         if args.m_max < 0:
             raise UsageError("m-max must be >= 0")
-        if args.command == "central-moments" and not (1 <= args.m_max <= CLOSED_MAX_M):
-            raise UsageError(f"central moments cover m in 1..{CLOSED_MAX_M}")
+        if args.command == "central-moments" and args.m_max < 1:
+            raise UsageError("central moments start at m = 1")
         opts["n"], opts["m_max"] = args.n, args.m_max
     if args.command == "stancu-moments":
         alpha = _parse_scalar(args.alpha, backend)

@@ -6,24 +6,25 @@ Routes for the raw moments D^q_{n,m}(x) = D_{n,q}(t^m; x):
               expansion of (1-x)_q^N as products of at most m + 1
               q-integers, no q-factorial; it checks that the x^(m+1)
               coefficient cancels
-  closed      closed forms for m <= 4, kept as data: the x^j coefficient is
+  closed      closed forms for every m: the x^j coefficient is
               q^(j^2) [n]_q ... [n-j+1]_q c_{m,j}(q) / ([n+2]_q ... [n+m+1]_q)
-              with integer q-polynomials c_{m,j} (`_CLOSED_TABLE`); on the
-              exact backend they are evaluated on integers, writing q = a/d
-              and [k]_q = S_k / d^(k-1), and a Fraction is formed only for
-              each finished coefficient, or once for a scaled deviation
-              [n]_q (image - p(x)) at x = u/v (`scaled_deviation_at`)
+              with integer q-polynomials c_{m,j} from the q-Lah recurrence
+              (`_closed_row`); on the exact backend they are evaluated on
+              integers, writing q = a/d and [k]_q = S_k / d^(k-1), and a
+              Fraction is formed only for each finished coefficient, or once
+              for a `scaled_deviation_at` value [n]_q (image - p(x)) at x = u/v
   recurrence  [n+m+2]_q M_{m+1} = ([m+1]_q + q^(m+1) x [n]_q) M_m
                                    + x(1-x) q^(m+1) D_q(M_m),
               applied under the guard n > m + 2 and filled from the brute
               route outside it
 
 Central moments use either the product expansion of
-(t-x)_q^m = prod_{s<m} (t - q^s x) against brute raw moments, or the
-closed identities combined with the closed raw-moment tables.
+(t-x)_q^m = prod_{s<m} (t - q^s x) against brute raw moments, or its
+Gauss q-binomial coefficients against the closed raw-moment tables.
 
-The closed tables used here were re-derived from the kernel sums and are
-verified coefficientwise against the brute route in the test-suite.  The
+The closed tables are verified coefficientwise against the brute and
+recurrence routes, and against a hand-derived m <= 4 table, in the
+test-suite.  The
 traditionally quoted tables contain several misprints (q-powers on the
 x^2/x^3 terms of the t^2..t^4 moments, and sign/factor slips in the
 central-moment statements).  Those quoted forms are kept, verbatim, in the
@@ -35,6 +36,7 @@ identity without failing any suite.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -105,14 +107,15 @@ def _validate_nm(n: int, m: int):
 def _memo_on_context(fn):
     """Memoize fn(*args) in the memo of its QContext argument, freed with it; hits are identical.
 
-    The key is fn's name and the other arguments, a Scalar by its raw value.  Public callers of
-    a private fn check its Scalars first; an int that fn refuses raises and is never stored.
+    The key is fn's name and the other arguments: a Scalar by its raw value, any other with its
+    type, so 2.0 misses 2.  Public callers of a private fn check its Scalars first; an argument
+    that fn refuses raises and is never stored.
     """
 
     @functools.wraps(fn)
     def memoized(*args):
         ctx = next(a for a in args if isinstance(a, QContext))
-        key = (fn.__name__,) + tuple(a.value if isinstance(a, Scalar) else a
+        key = (fn.__name__,) + tuple(a.value if isinstance(a, Scalar) else (type(a), a)
                                      for a in args if a is not ctx)
         try:
             return ctx.memo[key]
@@ -156,21 +159,31 @@ def raw_moment_brute(n: int, m: int, ctx: QContext) -> Polynomial:
 # c_{m,j}(q) as integer coefficient lists in q, constant term first: the x^j
 # coefficient of D(t^m; x) is
 #     q^(j^2) [n]_q [n-1]_q ... [n-j+1]_q c_{m,j}(q) / ([n+2]_q ... [n+m+1]_q).
-# Re-derived from the kernel sums; the quoted forms are `stated_raw_moment`.
-_CLOSED_TABLE = (
-    ((1,),),
-    ((1,), (1,)),
-    ((1, 1), (1, 2, 1), (1,)),  # [2], [2]^2, 1
-    ((1, 2, 2, 1), (1, 3, 5, 5, 3, 1), (1, 2, 3, 2, 1), (1,)),  # [3][2], [2][3]^2, [3]^2, 1
-    (
-        (1, 3, 5, 6, 5, 3, 1),  # [4][3][2]
-        (1, 4, 9, 15, 19, 19, 15, 9, 4, 1),  # [2] (1, 3, 6, 9, 10, 9, 6, 3, 1)
-        (1, 3, 7, 11, 14, 14, 11, 7, 3, 1),
-        (1, 2, 3, 4, 3, 2, 1),
-        (1,),
-    ),
-)
-CLOSED_MAX_M = len(_CLOSED_TABLE) - 1
+# A row depends on m alone, so rows are cached here for every context.
+_CLOSED_ROWS = {0: ((1,),)}
+
+
+def _closed_row(m: int) -> tuple[tuple[int, ...], ...]:
+    """(c_{m,0}, ..., c_{m,m}) by the q-Lah recurrence, built on row m - 1.
+
+    c_{0,0} = 1, c_{m,j} = [m+j]_q c_{m-1,j} + q^(m-j) c_{m-1,j-1}: the kernel sum
+    weighs p_{nk} by [k+1]_q ... [k+m]_q, sum_k p_{nk}(x) [k]_q ... [k-j+1]_q =
+    [n]_q ... [n-j+1]_q x^j, and [k+m]_q = [m]_q + q^m [k]_q steps m.  The quoted
+    forms are `stated_raw_moment`.
+    """
+    for k in range(len(_CLOSED_ROWS), m + 1):
+        prev, row = _CLOSED_ROWS[k - 1] + ((),), []  # c_{k-1,k} = c_{k-1,-1} = 0
+        for j in range(k + 1):
+            head, tail = prev[j], (0,) * (k - j) + prev[j - 1]
+            # head times [k+j]_q: differences of its prefix sums k+j apart
+            sums = list(itertools.accumulate(head + (0,) * (k + j - 1))) if head else []
+            out = [t - (sums[i - k - j] if i >= k + j else 0) for i, t in enumerate(sums)]
+            out += [0] * (len(tail) - len(out))
+            for i, c in enumerate(tail):
+                out[i] += c
+            row.append(tuple(out))
+        _CLOSED_ROWS.setdefault(k, tuple(row))
+    return _CLOSED_ROWS[m]
 
 
 @_memo_on_context
@@ -184,7 +197,7 @@ def _closed_numerators(n: int, m: int, ctx: QContext) -> tuple[int, ...]:
     s = ctx.q_int_numerator
     d_den = sum(n + i - 1 for i in range(2, m + 2))
     out, falling, d_falling = [], 1, 0
-    for j, c in enumerate(_CLOSED_TABLE[m]):
+    for j, c in enumerate(_closed_row(m)):
         if j and falling:
             falling *= s(n - j + 1)  # zero once the index reaches 0
             d_falling += n - j
@@ -199,17 +212,15 @@ def _closed_numerators(n: int, m: int, ctx: QContext) -> tuple[int, ...]:
 
 @_memo_on_context
 def raw_moment_closed(n: int, m: int, ctx: QContext) -> Polynomial:
-    """Closed-form moment tables for m <= 4, corrected where misprinted.
+    """Closed-form moment tables for every m, from the q-Lah rows of `_closed_row`.
 
-    Relative to the usually quoted tables the x^2 and higher coefficients
-    carry different q-powers (q^4, q^9, q^16 leading powers and reworked
-    interior q-polynomials); see `transcription_audit` for the comparison
-    against the quoted forms.  Exact coefficients come from integer
-    numerators over one denominator, float ones from Scalar arithmetic.
+    Relative to the usually quoted m <= 4 tables the x^2 and higher
+    coefficients carry different q-powers (q^4, q^9, q^16 leading powers and
+    reworked interior q-polynomials); see `transcription_audit` for the
+    comparison against the quoted forms.  Exact coefficients come from
+    integer numerators over one denominator, float ones from Scalar arithmetic.
     """
     _validate_nm(n, m)
-    if m > CLOSED_MAX_M:
-        raise DomainError(f"closed tables stop at m = {CLOSED_MAX_M}; use the recurrence route")
     if ctx.backend is Backend.EXACT:
         den = math.prod(ctx.q_int_numerator(n + i) for i in range(2, m + 2))
         coeffs = [Scalar.exact(c, den) for c in _closed_numerators(n, m, ctx)]
@@ -220,7 +231,7 @@ def raw_moment_closed(n: int, m: int, ctx: QContext) -> Polynomial:
     inv = ctx.one / den
     coeffs = [
         ctx.q_power(j * j) * _q_falling(n, j, ctx) * _q_weights(ctx, c) * inv
-        for j, c in enumerate(_CLOSED_TABLE[m])
+        for j, c in enumerate(_closed_row(m))
     ]
     return Polynomial(coeffs, ctx.backend)
 
@@ -228,22 +239,20 @@ def raw_moment_closed(n: int, m: int, ctx: QContext) -> Polynomial:
 def scaled_deviation_at(spec: OperatorSpec, coeffs: Sequence[Scalar], x: Scalar) -> Scalar:
     """[n]_q (image of p = sum_m coeffs[m] t^m at x, minus p(x)) under `spec`.
 
-    Exact polynomials of degree <= 4 take the integer closed tables; any
-    other p sums its moments evaluated at x, closed for m <= 4 and brute above.
+    Exact polynomials take the integer closed tables; float ones sum their
+    closed moments evaluated at x.
     """
     n, ctx = spec.n, spec.ctx
-    if ctx.backend is Backend.EXACT and len(coeffs) <= CLOSED_MAX_M + 1:
+    if ctx.backend is Backend.EXACT:
         return _closed_scaled_deviation(spec, coeffs, x)
     image = ctx.zero
     for m, c in enumerate(coeffs):
         if c.is_zero:
             continue
-        route = ROUTE_CLOSED if m <= CLOSED_MAX_M else ROUTE_BRUTE
         if spec.alpha is None:
-            raw = raw_moment_closed if route == ROUTE_CLOSED else raw_moment_brute
-            value = raw(n, m, ctx).eval(x)
+            value = raw_moment_closed(n, m, ctx).eval(x)
         else:
-            value = stancu_moment_at(n, m, ctx, spec.alpha, spec.beta, x, route)
+            value = stancu_moment_at(n, m, ctx, spec.alpha, spec.beta, x, ROUTE_CLOSED)
         image = image + c * value
     return ctx.q_int(n) * (image - horner(coeffs, x))
 
@@ -251,7 +260,7 @@ def scaled_deviation_at(spec: OperatorSpec, coeffs: Sequence[Scalar], x: Scalar)
 def _closed_scaled_deviation(spec: OperatorSpec, coeffs: Sequence[Scalar], x: Scalar) -> Scalar:
     """[n]_q (image of p = sum_m coeffs[m] t^m at x, minus p(x)), as one Fraction.
 
-    Exact backend and degree <= 4 only: the closed tables on integers.  A
+    Exact backend only: the closed tables on integers.  A
     Stancu spec weights each t^m as in `stancu_moment`.  For x = u/v and
     degree M the plain moments share the denominator S_{n+2} ... S_{n+M+1} v^M,
     and with alpha = a1/a2, beta = b1/b2 and [n]_q = S_n / g, g = d^(n-1),
@@ -262,8 +271,6 @@ def _closed_scaled_deviation(spec: OperatorSpec, coeffs: Sequence[Scalar], x: Sc
     if not (ctx.backend is Backend.EXACT and x.is_exact and all(c.is_exact for c in coeffs)):
         raise BackendMismatchError("integer moment images need exact scalars")
     deg = max((m for m, c in enumerate(coeffs) if not c.is_zero), default=0)
-    if deg > CLOSED_MAX_M:
-        raise DomainError(f"closed tables stop at m = {CLOSED_MAX_M}; use the recurrence route")
     u, v = x.value.as_integer_ratio()
     s = ctx.q_int_numerator
     sn, g = s(n), ctx.q.value.denominator ** (n - 1)
@@ -360,24 +367,20 @@ def central_factor_expand(m: int, ctx: QContext) -> BivariateExpansion:
 
 
 def central_identity_coefficients(m: int, ctx: QContext) -> list[Scalar]:
-    """Expansion identity coefficients for (t-x)_q^m, m <= 4.
+    """Expansion identity coefficients for (t-x)_q^m, by Gauss's q-binomial theorem.
 
-    Entry j is the scalar c_j with the t^j coefficient equal to c_j x^(m-j).
-    These equal the product expansion exactly (the test-suite asserts it).
-    The usually quoted m = 3 identity misprints the t coefficient as
-    q [2]_q where the product gives q [3]_q; see `stated_central_factor`.
+    Entry j is c_j = (-1)^(m-j) q^((m-j)(m-j-1)/2) [m choose j]_q, with the
+    t^j coefficient equal to c_j x^(m-j), for every m >= 0.  These equal the
+    product expansion exactly (the test-suite asserts it).  The usually
+    quoted m = 3 identity misprints the t coefficient as q [2]_q where the
+    product gives q [3]_q; see `stated_central_factor`.
     """
-    one, q = ctx.one, ctx.q
-    qi, qp = ctx.q_int, ctx.q_power
-    if m == 1:
-        return [-one, one]
-    if m == 2:
-        return [q, -qi(2), one]
-    if m == 3:
-        return [-qp(3), q * qi(3), -qi(3), one]
-    if m == 4:
-        return [qp(6), -qp(3) * qi(4), q * (qi(5) + qp(2)), -qi(4), one]
-    raise DomainError("identity tables stop at m = 4")
+    if m < 0:
+        raise DomainError("central factor order must be >= 0")
+    return [
+        ctx.q_power((m - j) * (m - j - 1) // 2) * ctx.q_binom(m, j) * (-1) ** (m - j)
+        for j in range(m + 1)
+    ]
 
 
 def stated_central_factor(m: int, ctx: QContext) -> list[Scalar]:
@@ -392,8 +395,8 @@ def central_moment(n: int, m: int, ctx: QContext, route: str = ROUTE_EXPANSION) 
     """D_{n,q}((t-x)_q^m; x) as a polynomial in x.
 
     The expansion route contracts the product expansion against brute raw
-    moments; the closed route combines the quoted identity coefficients
-    with the closed raw-moment tables.  The two agree exactly for m <= 4.
+    moments; the closed route combines Gauss's identity coefficients with
+    the closed raw-moment tables.  The two agree exactly for every m.
     """
     _validate_nm(n, m)
     if m < 1:
@@ -401,8 +404,6 @@ def central_moment(n: int, m: int, ctx: QContext, route: str = ROUTE_EXPANSION) 
     if route == ROUTE_EXPANSION:
         return _central_expansion(n, m, ctx)
     if route == ROUTE_CLOSED:
-        if m > CLOSED_MAX_M:
-            raise DomainError(f"closed central moments stop at m = {CLOSED_MAX_M}")
         total = Polynomial.zero(ctx.backend)
         for j, cj in enumerate(central_identity_coefficients(m, ctx)):
             weight = Polynomial.monomial(m - j, ctx.backend, cj)

@@ -46,7 +46,7 @@ from qdurrmeyer import (
     transcription_audit,
 )
 from qdurrmeyer.asymptotics import QSequence, decay_slope, scaled_central_moment_at
-from qdurrmeyer.moments import central_identity_coefficients
+from qdurrmeyer.moments import central_identity_coefficients, scaled_deviation_at
 
 Q_GRID = (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))
 X_GRID_16 = tuple(Fraction(i, 17) for i in range(1, 17))
@@ -333,3 +333,24 @@ def test_companion_stancu_protocol_along_admissible_sequence():
     tail = errs[-4:]
     assert all(b < a for a, b in zip(tail, tail[1:])), errs
     print(f"[companion 6'] PASS 1-1/n^2: lhs(512)={float(rows[-1].lhs):.4f} err={errs[-1]:.5f}")
+
+
+def test_companion_even_decay_law_in_numbers():
+    # [n]_q^s D((t-x)^(2s); x) -> (2s-1)!! (2x(1-x))^s, the even-moment law behind
+    # criterion 8, as a ratio along q_n = 1 - 1/n^2 for s = 1..4
+    x = Scalar.exact(Fraction(3, 10))
+    ratios = {}
+    for n in (64, 1024):
+        ctx = QContext.exact(1 - Fraction(1, n * n))
+        spec = OperatorSpec(n, ctx)
+        for s in range(1, 5):
+            coeffs = [ctx.scalar(math.comb(2 * s, m) * (-x.value) ** (2 * s - m))
+                      for m in range(2 * s + 1)]
+            value = ctx.q_int(n) ** (s - 1) * scaled_deviation_at(spec, coeffs, x)
+            limit = math.prod(range(2 * s - 1, 0, -2)) * (2 * x.value * (1 - x.value)) ** s
+            ratios[n, s] = float(value.value / limit)
+    for s in range(1, 5):
+        assert abs(ratios[1024, s] - 1) < 0.01, ratios
+        assert abs(ratios[1024, s] - 1) < abs(ratios[64, s] - 1), ratios
+    print("[companion 8'] PASS ratios at n=64, 1024: "
+          + " ".join(f"s={s}:{ratios[64, s]:.4f},{ratios[1024, s]:.4f}" for s in range(1, 5)))

@@ -73,8 +73,17 @@ class TestCentralAndStancuCommands:
         assert code == 0
         assert all(line.endswith("true") for line in out.splitlines()[1:])
 
-    def test_central_m_max_capped(self, capsys):
-        code, _, _ = run(capsys, "central-moments", "--n", "3", "--q", "1/2", "--m-max", "5")
+    @pytest.mark.parametrize("command, first_m", [("moments", 0), ("central-moments", 1)])
+    def test_closed_rows_past_degree_four(self, capsys, command, first_m):
+        code, out, _ = run(capsys, command, "--n", "3", "--q", "1/2", "--m-max", "6")
+        assert code == 0
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        assert all(row[-1] == "true" for row in rows)
+        closed = [int(row[0]) for row in rows if row[1] == "closed"]
+        assert closed == list(range(first_m, 7))
+
+    def test_central_m_max_starts_at_one(self, capsys):
+        code, _, _ = run(capsys, "central-moments", "--n", "3", "--q", "1/2", "--m-max", "0")
         assert code == 2
 
     def test_stancu_routes_agree(self, capsys):

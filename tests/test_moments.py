@@ -29,7 +29,7 @@ from qdurrmeyer import (
     transcription_audit,
     voronovskaja_lhs,
 )
-from qdurrmeyer import moments
+from qdurrmeyer import moments, operators
 from qdurrmeyer.asymptotics import QSequence, convergence_table
 from qdurrmeyer.moments import (
     MomentReport,
@@ -47,6 +47,23 @@ from conftest import Q_GRID
 
 rational_q = st.fractions(
     min_value=Fraction(1, 20), max_value=Fraction(19, 20), max_denominator=40
+)
+
+# The closed tables for m <= 4, derived by hand from the kernel sums: c_{m,j}(q) as
+# coefficient lists in q, constant term first, with the x^j coefficient of D(t^m; x)
+#     q^(j^2) [n]_q [n-1]_q ... [n-j+1]_q c_{m,j}(q) / ([n+2]_q ... [n+m+1]_q).
+HAND_CLOSED_TABLE = (
+    ((1,),),
+    ((1,), (1,)),
+    ((1, 1), (1, 2, 1), (1,)),  # [2], [2]^2, 1
+    ((1, 2, 2, 1), (1, 3, 5, 5, 3, 1), (1, 2, 3, 2, 1), (1,)),  # [3][2], [2][3]^2, [3]^2, 1
+    (
+        (1, 3, 5, 6, 5, 3, 1),  # [4][3][2]
+        (1, 4, 9, 15, 19, 19, 15, 9, 4, 1),  # [2] (1, 3, 6, 9, 10, 9, 6, 3, 1)
+        (1, 3, 7, 11, 14, 14, 11, 7, 3, 1),
+        (1, 2, 3, 4, 3, 2, 1),
+        (1,),
+    ),
 )
 
 
@@ -122,9 +139,8 @@ class TestRawMoments:
         ctx = QContext.exact(3, 4)
         assert raw_moment_closed(3, 4, ctx) == raw_moment_brute(3, 4, ctx)
 
-    def test_closed_stops_at_four(self, ctx_half):
-        with pytest.raises(DomainError):
-            raw_moment_closed(3, 5, ctx_half)
+    def test_closed_covers_degree_five(self, ctx_half):
+        assert raw_moment_closed(3, 5, ctx_half) == raw_moment_brute(3, 5, ctx_half)
 
     def test_degree_bound(self):
         ctx = QContext.exact(1, 3)
@@ -163,6 +179,17 @@ class TestRawMoments:
 class TestIntegerClosedTable:
     """The closed tables evaluated on integer numerators over powers of d."""
 
+    def test_generated_rows_equal_the_hand_table(self):
+        assert tuple(moments._closed_row(m) for m in range(5)) == HAND_CLOSED_TABLE
+
+    @pytest.mark.parametrize("n", [16, 64])
+    @pytest.mark.parametrize("q", [Fraction(1, 2), Fraction(13, 16), "one-minus-inv-n-squared"])
+    def test_closed_brute_and_recurrence_agree_to_degree_twelve(self, n, q):
+        ctx = QContext.exact(Fraction(n * n - 1, n * n) if isinstance(q, str) else q)
+        rec = raw_moment_recurrence(n, 12, ctx)
+        for m in range(13):
+            assert raw_moment_closed(n, m, ctx) == raw_moment_brute(n, m, ctx) == rec[m], m
+
     @pytest.mark.parametrize("n", [256, 1024])
     def test_equals_recurrence_along_one_minus_inv_n_squared(self, n):
         ctx = QContext.exact(n * n - 1, n * n)
@@ -186,12 +213,15 @@ class TestIntegerClosedTable:
             got = _closed_scaled_deviation(OperatorSpec(n, ctx, *(params or ())), coeffs, x)
             assert got == ctx.q_int(n) * (image - p_at_x)
 
+    def test_degree_five_row_equals_the_brute_image(self, ctx_half):
+        n, x = 4, Scalar.exact(1, 3)
+        coeffs = [ctx_half.scalar(Fraction(c)) for c in ("1/2", "0", "-3", "0", "2/7", "5")]
+        p = Polynomial(coeffs, Backend.EXACT)
+        brute = durrmeyer_apply_poly(OperatorSpec(n, ctx_half), p).eval(x)
+        want = ctx_half.q_int(n) * (brute - p.eval(x))
+        assert _closed_scaled_deviation(OperatorSpec(n, ctx_half), coeffs, x) == want
+
     def test_refuses_what_the_tables_do_not_cover(self, ctx_half):
-        x = Scalar.exact(1, 3)
-        with pytest.raises(DomainError):
-            _closed_scaled_deviation(
-                OperatorSpec(4, ctx_half), [ctx_half.zero] * 5 + [ctx_half.one], x
-            )
         with pytest.raises(BackendMismatchError):
             _closed_scaled_deviation(
                 OperatorSpec(4, ctx_half), [ctx_half.one], Scalar.floating(0.5)
@@ -229,6 +259,20 @@ class TestIntegerClosedTable:
         voronovskaja_lhs(f, x, n, q, *params)
         monkeypatch.undo()
         assert len(calls) <= 20  # 237 (plain) and 395 (stancu) with Fraction steps
+
+    @pytest.mark.parametrize("params", [None, (1, 2)])
+    def test_sixth_degree_row_takes_no_kernel_sum(self, monkeypatch, params):
+        # rows of every degree read the closed tables; a kernel sum is the brute route
+        n = 256
+        ctx = QContext.exact(n * n - 1, n * n)
+        spec = OperatorSpec(n, ctx, *(ctx.scalar(v) for v in params or ()))
+        calls = []
+        for module in (moments, operators):
+            real = module.durrmeyer_apply_poly
+            monkeypatch.setattr(module, "durrmeyer_apply_poly",
+                                lambda *a, real=real: calls.append(a) or real(*a))
+        moments.scaled_deviation_at(spec, [ctx.zero] * 6 + [ctx.one], Scalar.exact(3, 10))
+        assert calls == []
 
 
 class TestRecurrence:
@@ -318,6 +362,13 @@ class TestContextMemo:
             build_report(4)
         assert live_contexts() <= before
 
+    def test_float_argument_misses_the_int_entry(self):
+        # 2.0 == 2 and hash(2.0) == hash(2): a key without the type answers (3, 2.0) with m = 2
+        ctx = QContext.exact(1, 3)
+        raw_moment_brute(3, 2, ctx)
+        with pytest.raises(TypeError):
+            raw_moment_brute(3, 2.0, ctx)
+
     def test_repeated_calls_share_one_result(self):
         ctx = QContext.exact(1, 3)
         assert raw_moment_brute(3, 2, ctx) is raw_moment_brute(3, 2, ctx)
@@ -353,10 +404,12 @@ class TestCentralFactor:
 
     def test_identity_tables_match_product(self, ctx_grid):
         for ctx in ctx_grid:
-            for m in range(1, 5):
+            for m in range(1, 9):
                 e = central_factor_expand(m, ctx)
                 for j, cj in enumerate(central_identity_coefficients(m, ctx)):
                     assert e.t_coeffs[j] == Polynomial.monomial(m - j, ctx.backend, cj)
+        with pytest.raises(DomainError):
+            central_identity_coefficients(-1, ctx_grid[0])
 
     def test_quoted_cubic_identity_is_misprinted(self, ctx_half):
         # the t coefficient of (t-x)_q^3 is q[3]x^2, not the quoted q[2]x^2
