@@ -12,6 +12,8 @@ wraps; the CLI itself does no arithmetic.
 from __future__ import annotations
 
 import argparse
+import decimal
+import functools
 import json
 import math
 import sys
@@ -115,38 +117,55 @@ def _parse_n_list(text: str) -> list[int]:
     return values
 
 
-# int -> str is quadratic in CPython 3.11; above this size a divide and
-# conquer through decimal's fast multiplication wins (2-core x86-64, 3.11.7)
-_DECIMAL_BITS = 50_000
-_DECIMAL_LEAF_BITS = 2048
+# int -> str is quadratic in CPython 3.11.  Above _DECIMAL_BITS bits an int
+# is split in binary and recombined through decimal's subquadratic
+# multiplication, as CPython 3.12's _pylong.int_to_decimal_string does.  Every
+# split falls at a width _DECIMAL_LEAF_BITS * 2^j, so all ints share one table
+# of powers 2^width with one entry per j (sizes measured on 2-core x86-64,
+# Python 3.11.7).
+_DECIMAL_BITS = 8_000
+_DECIMAL_LEAF_BITS = 512
+_TWO_POWERS: dict[int, decimal.Decimal] = {}  # j -> 2^(_DECIMAL_LEAF_BITS * 2^j)
 
 
-def _int_text(i: int) -> str:
-    """str(i), by splitting i into binary halves that decimal recombines when i is large."""
-    if i.bit_length() <= _DECIMAL_BITS:
-        return str(i)
-    import decimal  # here, so that start-up does not pay for it
+def _two_power(j: int) -> decimal.Decimal:
+    """2^(_DECIMAL_LEAF_BITS * 2^j), the square of entry j - 1; needs an exact context."""
+    power = _TWO_POWERS.get(j)
+    if power is None:
+        if j == 0:
+            power = decimal.Decimal(2) ** _DECIMAL_LEAF_BITS
+        else:
+            half = _two_power(j - 1)
+            power = half * half
+        _TWO_POWERS[j] = power
+    return power
 
-    powers = {}
 
-    def two_to(w: int) -> decimal.Decimal:
-        if w not in powers:
-            powers[w] = (decimal.Decimal(2) ** w if w <= _DECIMAL_LEAF_BITS
-                         else two_to(w // 2) * two_to(w - w // 2))
-        return powers[w]
+def _to_decimal(k: int) -> decimal.Decimal:
+    """k >= 0, split at the widest aligned width below its length; needs an exact context."""
+    bits = k.bit_length()
+    if bits <= _DECIMAL_LEAF_BITS:
+        return decimal.Decimal(k)
+    j = ((bits - 1) // _DECIMAL_LEAF_BITS).bit_length() - 1
+    width = _DECIMAL_LEAF_BITS << j
+    hi = k >> width
+    return _to_decimal(hi) * _two_power(j) + _to_decimal(k - (hi << width))
 
-    def convert(k: int, w: int) -> decimal.Decimal:  # 0 <= k < 2^w
-        if w <= _DECIMAL_LEAF_BITS:
-            return decimal.Decimal(k)
-        half = w // 2
-        hi = k >> half
-        return convert(hi, w - half) * two_to(half) + convert(k - (hi << half), half)
 
+# the lhs and abs_err of a row share their denominator, and so do the rows of
+# a grid at one n: a few recent texts cover the repeats
+@functools.lru_cache(maxsize=16)
+def _big_int_text(i: int) -> str:
     with decimal.localcontext() as ctx:
         ctx.prec, ctx.Emax = decimal.MAX_PREC, decimal.MAX_EMAX
         ctx.traps[decimal.Inexact] = True  # every step must be exact
-        text = str(convert(abs(i), i.bit_length()))
+        text = str(_to_decimal(abs(i)))
     return "-" + text if i < 0 else text
+
+
+def _int_text(i: int) -> str:
+    """str(i), through decimal when i is large."""
+    return str(i) if i.bit_length() <= _DECIMAL_BITS else _big_int_text(i)
 
 
 def _scalar_cell(s: Scalar | None) -> str:

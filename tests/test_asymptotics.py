@@ -21,7 +21,9 @@ from qdurrmeyer import (
     voronovskaja_rhs,
 )
 from qdurrmeyer.asymptotics import (
+    ConvergenceRow,
     QSequence,
+    _err_below,
     decay_slope,
     q_power_limit,
     scaled_central_moment_at,
@@ -214,6 +216,47 @@ class TestConvergenceTable:
         adjusted = (1 - (1 + a) * x) * (2 * x) + x * (1 - x) * 2
         assert abs(float(rows[-1].lhs) - adjusted) < 0.01
         assert abs(adjusted - 0.66) > 0.1  # visibly away from the classical target
+
+
+class TestErrorOrder:
+    """abs_err compares on floats first and falls back to the exact `<`."""
+
+    NEAR = (Scalar.exact(1 + Fraction(1, 2 ** 61)), Scalar.exact(1 + Fraction(1, 2 ** 60)))
+
+    def test_float_tie_is_ordered_exactly(self):
+        lo, hi = self.NEAR
+        assert float(lo) == float(hi)
+        assert _err_below(lo, hi)
+        assert not _err_below(hi, lo)
+        assert not _err_below(lo, lo)
+
+    def test_past_float_range_falls_back(self):
+        huge, larger = Scalar.exact(10 ** 400), Scalar.exact(10 ** 400 + 1)
+        with pytest.raises(OverflowError):
+            float(huge)
+        assert _err_below(huge, larger) and not _err_below(larger, huge)
+        assert _err_below(Scalar.exact(1), huge) and not _err_below(huge, Scalar.exact(1))
+
+    def test_float_backend_is_the_bare_less_than(self):
+        values = [math.nan, math.inf, -math.inf, 0.0, 1.0, 5e-324]
+        for a in values:
+            for b in values:
+                assert _err_below(Scalar.floating(a), Scalar.floating(b)) == (a < b), (a, b)
+
+    def test_trend_reads_a_float_tie_exactly(self):
+        q = Scalar.exact(1, 2)
+        lo, hi = self.NEAR
+
+        def rows(*errs):
+            zero = Scalar.zero(errs[0].backend)
+            return [ConvergenceRow(8 * (i + 1), q, e, zero) for i, e in enumerate(errs)]
+
+        # the last half of four rows is their last pair
+        assert trend_decreasing_last_half(rows(hi, hi, hi, lo))
+        assert trend_decreasing_last_half(rows(hi, hi, hi, hi))
+        assert not trend_decreasing_last_half(rows(hi, hi, lo, hi))
+        one, nan = Scalar.floating(1.0), Scalar.floating(math.nan)
+        assert not trend_decreasing_last_half(rows(one, one, nan, nan))
 
 
 class TestScaledCentralMoments:

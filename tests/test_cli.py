@@ -10,7 +10,15 @@ from pathlib import Path
 import pytest
 
 from qdurrmeyer import Scalar
-from qdurrmeyer.cli import _DECIMAL_BITS, _int_text, _scalar_cell, main
+from qdurrmeyer.cli import (
+    _DECIMAL_BITS,
+    _DECIMAL_LEAF_BITS,
+    _TWO_POWERS,
+    _big_int_text,
+    _int_text,
+    _scalar_cell,
+    main,
+)
 
 
 def run(capsys, *argv):
@@ -304,12 +312,60 @@ class TestIntText:
 
     def test_equals_str(self):
         rng = random.Random(8)
-        cases = [0, 1, -1, 10 ** 30_103, 10 ** 30_103 - 1, (1 << 300_000) - 1, 1 << 300_000]
-        for bits in (_DECIMAL_BITS - 1, _DECIMAL_BITS, _DECIMAL_BITS + 1, 100_000, 300_000):
-            k = rng.getrandbits(bits) | (1 << (bits - 1))  # exactly `bits` long
-            cases += [k, -k]
+        cases = [0, 1, 10 ** 30_103, 10 ** 30_103 - 1, (1 << 300_000) - 1, 1 << 300_000]
+        widths = [_DECIMAL_BITS - 1, _DECIMAL_BITS, _DECIMAL_BITS + 1, 100_000, 300_000]
+        for j in range(9):  # the split widths leaf * 2^j up to the bench's largest ints
+            w = _DECIMAL_LEAF_BITS << j
+            cases += [(1 << w) - 1, 1 << w]
+            widths += [w - 1, w, w + 1]
+        for bits in widths:
+            cases.append(rng.getrandbits(bits) | (1 << (bits - 1)))  # exactly `bits` long
         for i in cases:
-            assert _int_text(i) == str(i), i.bit_length()
+            assert _int_text(i) == str(i) and _int_text(-i) == str(-i), i.bit_length()
+
+    def test_threshold_neighbours_take_the_right_route(self):
+        _big_int_text.cache_clear()
+        for bits in (_DECIMAL_BITS - 1, _DECIMAL_BITS, _DECIMAL_BITS + 1):
+            k = (1 << (bits - 1)) + 12345
+            assert _int_text(k) == str(k) and _int_text(-k) == str(-k)
+        assert _big_int_text.cache_info().misses == 2  # only the +1 width, both signs
+
+    def test_power_table_holds_one_square_per_aligned_width(self):
+        _int_text(random.Random(11).getrandbits(300_000) | 1)
+        assert set(_TWO_POWERS) == set(range(len(_TWO_POWERS)))
+        for j, power in _TWO_POWERS.items():
+            assert int(power) == 1 << (_DECIMAL_LEAF_BITS << j)
+
+    def test_repeated_int_comes_from_the_memo(self):
+        k = -(random.Random(12).getrandbits(60_000) | 1)
+        _big_int_text.cache_clear()
+        first = _int_text(k)
+        second = _int_text(k)
+        assert first == second == str(k)
+        info = _big_int_text.cache_info()
+        assert (info.hits, info.misses) == (1, 1)
+
+    def test_memo_stays_at_its_bound(self):
+        rng = random.Random(13)
+        bound = _big_int_text.cache_info().maxsize
+        _big_int_text.cache_clear()
+        for _ in range(bound + 5):
+            k = rng.getrandbits(_DECIMAL_BITS + 100) | 1
+            assert _int_text(k) == str(k)
+        assert _big_int_text.cache_info().currsize == bound
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                        reason="the interpreter has no int -> str digit limit")
+    def test_calls_no_str_above_the_default_digit_limit(self):
+        # 4300 digits is the interpreter's default limit; str() raises past it
+        cases = [10 ** 4300, -(random.Random(14).getrandbits(200_000) | 1)]
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            texts = [_int_text(k) for k in cases]
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert texts == [str(k) for k in cases]
 
     def test_cell_equals_str_of_fraction(self):
         rng = random.Random(9)
@@ -389,8 +445,9 @@ README_EXAMPLES = [
 # stdout sha256 of outputs at benchmark scale: the moment tables were
 # captured before the kernel sum moved to Gauss's formula, the exact
 # voronovskaja sweeps (q_n = 1 - 1/n^2 up to n = 1024) before exact
-# q-integers moved to the closed form, the float black-box grids before the
-# kernel integrals were shared across x
+# q-integers moved to the closed form (the JSON one before large ints shared
+# one table of decimal powers), the float black-box grids before the kernel
+# integrals were shared across x
 BENCHMARK_SCALE_EXAMPLES = [
     ("moments --n 32 --q 5/16", 0,
      "e105b036ea7382b0ebf7f1f7536619d388a304d2e4e6be9ab9d5337c6bd20394"),
@@ -412,6 +469,9 @@ BENCHMARK_SCALE_EXAMPLES = [
     ("voronovskaja --f t2 --x 25/128 --q-seq one-minus-inv-n "
      "--n-list 8,16,32,64,128,256,512", 3,
      "5728e3da6f9692adf7a7d89d5e1c1a9bbd2b155babc3f134536f39d5ef3e7b17"),
+    ("voronovskaja --f t4 --x 25/128 --q-seq one-minus-inv-n-squared "
+     "--n-list 512,1024 --format json", 0,
+     "7aa27830e916423776f6f4cb41e1ae90898f29e794deecc7718efbdc37d0ff94"),
     ("voronovskaja --backend float --x-grid 177/1000:777/1000:4 --n-list 4,8,16,32 "
      "--f exp --q-seq one-minus-inv-n", 3,
      "7b98fec18cda695a01126970580d8847ef85aa8ffc101a676d5dd62fc88f0406"),
