@@ -174,7 +174,7 @@ def _scalar_cell(s: Scalar | None) -> str:
         return ""
     if not s.is_exact:
         return repr(s.value)
-    num, den = s.value.numerator, s.value.denominator
+    num, den = s.as_ratio()
     return _int_text(num) if den == 1 else f"{_int_text(num)}/{_int_text(den)}"
 
 
@@ -397,6 +397,7 @@ _Q_SEQUENCES = {
 }
 
 
+@functools.cache  # parse_args keeps no state between calls, so one parser serves them all
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qdurrmeyer",
@@ -550,12 +551,7 @@ _COMMANDS = {
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    # exact sweeps reach thousands of digits per rational; lift the
-    # int -> str guard so "p/q" serialization stays faithful
-    if hasattr(sys, "set_int_max_str_digits"):
-        sys.set_int_max_str_digits(2_000_000)
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         cfg = _build_config(args)
     except (UsageError, DomainError, ValueError) as exc:

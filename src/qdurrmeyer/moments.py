@@ -9,10 +9,11 @@ Routes for the raw moments D^q_{n,m}(x) = D_{n,q}(t^m; x):
   closed      closed forms for every m: the x^j coefficient is
               q^(j^2) [n]_q ... [n-j+1]_q c_{m,j}(q) / ([n+2]_q ... [n+m+1]_q)
               with integer q-polynomials c_{m,j} from the q-Lah recurrence
-              (`_closed_row`); on the exact backend they are evaluated on
-              integers, writing q = a/d and [k]_q = S_k / d^(k-1), and a
-              Fraction is formed only for each finished coefficient, or once
-              for a `scaled_deviation_at` value [n]_q (image - p(x)) at x = u/v
+              (`_closed_row`), evaluated in the integer view q = a/d,
+              [k]_q = S_k / d^(k-1) (ints when exact; floats with d = 1 on
+              float); one division is made for each finished coefficient,
+              or once for a `scaled_deviation_at` value [n]_q (image - p(x))
+              at x = u/v
   recurrence  [n+m+2]_q M_{m+1} = ([m+1]_q + q^(m+1) x [n]_q) M_m
                                    + x(1-x) q^(m+1) D_q(M_m),
               applied under the guard n > m + 2 and filled from the brute
@@ -44,7 +45,7 @@ from typing import Sequence
 from .errors import BackendMismatchError, DomainError
 from .operators import OperatorSpec, check_stancu_parameters, durrmeyer_apply_poly
 from .polyalg import BivariateExpansion, Polynomial
-from .qcore import Backend, QContext, Scalar, horner
+from .qcore import QContext, Scalar
 
 __all__ = [
     "MomentReport",
@@ -57,7 +58,6 @@ __all__ = [
     "central_identity_coefficients",
     "central_moment",
     "stancu_moment",
-    "stancu_moment_at",
     "scaled_deviation_at",
     "stancu_central_moment",
     "stated_raw_moment",
@@ -126,7 +126,7 @@ def _memo_on_context(fn):
 
 
 def _q_falling(n: int, j: int, ctx: QContext) -> Scalar:
-    """[n]_q [n-1]_q ... [n-j+1]_q; zero as soon as the index reaches 0."""
+    """[n]_q [n-1]_q ... [n-j+1]_q for the quoted forms; zero once the index reaches 0."""
     out = ctx.one
     for i in range(j):
         if n - i <= 0:
@@ -137,7 +137,7 @@ def _q_falling(n: int, j: int, ctx: QContext) -> Scalar:
 
 @_memo_on_context
 def _q_weights(ctx: QContext, coeffs: tuple[int, ...]) -> Scalar:
-    """sum_i coeffs[i] q^i as a Scalar."""
+    """sum_i coeffs[i] q^i as a Scalar, for the quoted forms."""
     out = ctx.zero
     for i, c in enumerate(coeffs):
         if c:
@@ -187,13 +187,14 @@ def _closed_row(m: int) -> tuple[tuple[int, ...], ...]:
 
 
 @_memo_on_context
-def _closed_numerators(n: int, m: int, ctx: QContext) -> tuple[int, ...]:
-    """Integers N_j with x^j coefficient N_j / (S_{n+2} ... S_{n+m+1}) in D(t^m; x).
+def _closed_numerators(n: int, m: int, ctx: QContext) -> tuple:
+    """N_j with x^j coefficient N_j / (S_{n+2} ... S_{n+m+1}) in D(t^m; x).
 
-    With q = a/d in lowest terms, [k]_q = S_k / d^(k-1); all powers of d go to
-    the numerators, where their exponent is >= 0 for every n >= 1.
+    In the integer view q = a/d, [k]_q = S_k / d^(k-1) (`QContext.q_int_numerator`);
+    all powers of d go to the numerators, where their exponent is >= 0 for
+    every n >= 1.  Exact: ints.  Float: d = 1 and S_k = [k]_q, so floats.
     """
-    a, d = ctx.q.value.as_integer_ratio()
+    a, d = ctx.q.as_ratio()
     s = ctx.q_int_numerator
     d_den = sum(n + i - 1 for i in range(2, m + 2))
     out, falling, d_falling = [], 1, 0
@@ -217,82 +218,52 @@ def raw_moment_closed(n: int, m: int, ctx: QContext) -> Polynomial:
     Relative to the usually quoted m <= 4 tables the x^2 and higher
     coefficients carry different q-powers (q^4, q^9, q^16 leading powers and
     reworked interior q-polynomials); see `transcription_audit` for the
-    comparison against the quoted forms.  Exact coefficients come from
-    integer numerators over one denominator, float ones from Scalar arithmetic.
+    comparison against the quoted forms.  Each coefficient is one numerator of
+    `_closed_numerators` over one shared denominator, on both backends.
     """
     _validate_nm(n, m)
-    if ctx.backend is Backend.EXACT:
-        den = math.prod(ctx.q_int_numerator(n + i) for i in range(2, m + 2))
-        coeffs = [Scalar.exact(c, den) for c in _closed_numerators(n, m, ctx)]
-        return Polynomial(coeffs, ctx.backend)
-    den = ctx.one
-    for i in range(2, m + 2):
-        den = den * ctx.q_int(n + i)
-    inv = ctx.one / den
-    coeffs = [
-        ctx.q_power(j * j) * _q_falling(n, j, ctx) * _q_weights(ctx, c) * inv
-        for j, c in enumerate(_closed_row(m))
-    ]
+    den = math.prod(ctx.q_int_numerator(n + i) for i in range(2, m + 2))
+    coeffs = [Scalar.from_ratio(c, den, ctx.backend) for c in _closed_numerators(n, m, ctx)]
     return Polynomial(coeffs, ctx.backend)
 
 
 def scaled_deviation_at(spec: OperatorSpec, coeffs: Sequence[Scalar], x: Scalar) -> Scalar:
     """[n]_q (image of p = sum_m coeffs[m] t^m at x, minus p(x)) under `spec`.
 
-    Exact polynomials take the integer closed tables; float ones sum their
-    closed moments evaluated at x.
+    One division at the end, from the closed tables in the integer view of
+    `Scalar.as_ratio` (d = v = 1 on float).  A Stancu spec weights each t^m
+    as in `stancu_moment`.  For x = u/v and degree M the plain moments share
+    the denominator S_{n+2} ... S_{n+M+1} v^M, and with alpha = a1/a2,
+    beta = b1/b2 and [n]_q = S_n / g, g = d^(n-1), the Stancu weights share
+    (a2 (S_n b2 + b1 g))^M, so only the result is reduced.
     """
     n, ctx = spec.n, spec.ctx
-    if ctx.backend is Backend.EXACT:
-        return _closed_scaled_deviation(spec, coeffs, x)
-    image = ctx.zero
-    for m, c in enumerate(coeffs):
-        if c.is_zero:
-            continue
-        if spec.alpha is None:
-            value = raw_moment_closed(n, m, ctx).eval(x)
-        else:
-            value = stancu_moment_at(n, m, ctx, spec.alpha, spec.beta, x, ROUTE_CLOSED)
-        image = image + c * value
-    return ctx.q_int(n) * (image - horner(coeffs, x))
-
-
-def _closed_scaled_deviation(spec: OperatorSpec, coeffs: Sequence[Scalar], x: Scalar) -> Scalar:
-    """[n]_q (image of p = sum_m coeffs[m] t^m at x, minus p(x)), as one Fraction.
-
-    Exact backend only: the closed tables on integers.  A
-    Stancu spec weights each t^m as in `stancu_moment`.  For x = u/v and
-    degree M the plain moments share the denominator S_{n+2} ... S_{n+M+1} v^M,
-    and with alpha = a1/a2, beta = b1/b2 and [n]_q = S_n / g, g = d^(n-1),
-    the Stancu weights share (a2 (S_n b2 + b1 g))^M, so only the result is
-    reduced.
-    """
-    n, ctx = spec.n, spec.ctx
-    if not (ctx.backend is Backend.EXACT and x.is_exact and all(c.is_exact for c in coeffs)):
-        raise BackendMismatchError("integer moment images need exact scalars")
+    if any(c.backend is not ctx.backend for c in (x, *coeffs)):
+        raise BackendMismatchError("point and coefficients must share the context's backend")
     deg = max((m for m, c in enumerate(coeffs) if not c.is_zero), default=0)
-    u, v = x.value.as_integer_ratio()
+    u, v = x.as_ratio()
     s = ctx.q_int_numerator
-    sn, g = s(n), ctx.q.value.denominator ** (n - 1)
+    sn, g = s(n), ctx.q.as_ratio()[1] ** (n - 1)
     # tails[m] = S_{n+m+2} ... S_{n+deg+1}; tails[0] is the shared denominator
     tails = [1] * (deg + 1)
     for m in range(deg - 1, -1, -1):
         tails[m] = tails[m + 1] * s(n + m + 2)
 
-    def plain_at(m: int) -> int:
+    def plain_at(m: int):
         acc = 0
         for j, c in reversed(list(enumerate(_closed_numerators(n, m, ctx)))):
             acc = acc * u + c * v ** (m - j)
         return acc * tails[m] * v ** (deg - m)
 
-    lcm = math.lcm(*(c.value.denominator for c in coeffs))
-    weights = [c.value.numerator * (lcm // c.value.denominator) for c in coeffs[: deg + 1]]
+    ratios = [c.as_ratio() for c in coeffs[: deg + 1]]
+    lcm = math.lcm(*(den for _, den in ratios))
+    weights = [num * (lcm // den) for num, den in ratios]
     if spec.alpha is None:
         unit = 1
         images = [plain_at(m) if w else 0 for m, w in enumerate(weights)]
     else:
-        a1, a2 = spec.alpha.value.as_integer_ratio()
-        b1, b2 = spec.beta.value.as_integer_ratio()
+        a1, a2 = spec.alpha.as_ratio()
+        b1, b2 = spec.beta.as_ratio()
         unit = a2 * (sn * b2 + b1 * g)
         plain = [plain_at(j) for j in range(deg + 1)]
         # C(m, j) [n]^j alpha^(m-j) / ([n] + beta)^m
@@ -308,7 +279,8 @@ def _closed_scaled_deviation(spec: OperatorSpec, coeffs: Sequence[Scalar], x: Sc
     common = unit ** deg * tails[0]
     image = sum(w * unit ** (deg - m) * im for m, (w, im) in enumerate(zip(weights, images)))
     p_at_x = sum(w * u ** m * v ** (deg - m) for m, w in enumerate(weights))
-    return Scalar.exact(sn * (image - p_at_x * common), g * lcm * common * v ** deg)
+    return Scalar.from_ratio(sn * (image - p_at_x * common), g * lcm * common * v ** deg,
+                             ctx.backend)
 
 
 def _recurrence_step(n: int, m: int, current: Polynomial, ctx: QContext) -> Polynomial:
@@ -422,32 +394,18 @@ def _central_expansion(n: int, m: int, ctx: QContext) -> Polynomial:
 # -- Stancu moments ---------------------------------------------------------------
 
 
-def _stancu_terms(n, m, ctx, alpha, beta, raw_route):
-    """Nonzero (weight, D_{n,q}(t^j; x)) pairs of the `stancu_moment` recursion."""
-    raw = raw_moment_closed if raw_route == ROUTE_CLOSED else raw_moment_brute
-    qn = ctx.q_int(n)
-    shift_m = (qn + beta) ** m
-    terms = []
-    for j in range(m + 1):
-        c = (qn ** j) * (alpha ** (m - j)) / shift_m * math.comb(m, j)
-        if not c.is_zero:
-            terms.append((c, raw(n, j, ctx)))
-    return terms
-
-
 @_memo_on_context
 def _stancu_recursion(n, m, ctx, alpha, beta, raw_route) -> Polynomial:
     """The recursion route of `stancu_moment`, for validated arguments."""
-    terms = _stancu_terms(n, m, ctx, alpha, beta, raw_route)
-    return sum((p.scale(c) for c, p in terms), Polynomial.zero(ctx.backend))
-
-
-def stancu_moment_at(n, m, ctx, alpha, beta, x: Scalar, raw_route=ROUTE_BRUTE) -> Scalar:
-    """`stancu_moment(...).eval(x)`, with each plain moment evaluated at x before weighting."""
-    _validate_nm(n, m)
-    check_stancu_parameters(alpha, beta, ctx.backend)
-    terms = _stancu_terms(n, m, ctx, alpha, beta, raw_route)
-    return sum((c * p.eval(x) for c, p in terms), ctx.zero)
+    raw = raw_moment_closed if raw_route == ROUTE_CLOSED else raw_moment_brute
+    qn = ctx.q_int(n)
+    shift_m = (qn + beta) ** m
+    total = Polynomial.zero(ctx.backend)
+    for j in range(m + 1):
+        c = (qn ** j) * (alpha ** (m - j)) / shift_m * math.comb(m, j)
+        if not c.is_zero:
+            total = total + raw(n, j, ctx).scale(c)
+    return total
 
 
 def stancu_moment(

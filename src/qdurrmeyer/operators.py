@@ -88,25 +88,21 @@ def _check_point(x: Scalar, ctx: QContext):
 def bernstein_basis(spec: OperatorSpec, k: int, x: Scalar) -> Scalar:
     """p_{nk}(q; x), nonnegative on [0, 1].
 
-    Exact, q = a/d, x = u/v, [n choose k]_q = b1/b2: one Fraction b1 u^k prod_{s<n-k}
-    (d^s v - a^s u) / (b2 v^n d^C(n-k, 2)).  Float: raw floats in the Scalar order, wrapped once.
+    In the integer view of `Scalar.as_ratio`, q = a/d, x = u/v, [n choose k]_q = b1/b2:
+    b1 u^k prod_{s<n-k} (d^s v - a^s u) / (b2 v^n d^C(n-k, 2)), one Fraction when
+    exact; on float d = v = b2 = 1, so the division is by 1.
     """
     n, ctx = spec.n, spec.ctx
     if not 0 <= k <= n:
         raise DomainError(f"basis index needs 0 <= k <= n, got k={k} n={n}")
     _check_point(x, ctx)
-    binom = ctx.q_binom(n, k)
-    if ctx.backend is Backend.EXACT:
-        a, d = ctx.q.value.as_integer_ratio()
-        u, v = x.value.as_integer_ratio()
-        num, a_s, d_s = binom.value.numerator * u ** k, 1, 1
-        for _ in range(n - k):
-            num, a_s, d_s = num * (d_s * v - a_s * u), a_s * a, d_s * d
-        return Scalar.exact(num, binom.value.denominator * v ** n * d ** math.comb(n - k, 2))
-    out, xv = binom.value * x.value ** k, x.value
-    for s in range(n - k):
-        out = out * (1.0 - ctx.q_power(s).value * xv)
-    return Scalar.floating(out)
+    a, d = ctx.q.as_ratio()
+    u, v = x.as_ratio()
+    b1, b2 = ctx.q_binom(n, k).as_ratio()
+    num, a_s, d_s = b1 * u ** k, 1, 1
+    for _ in range(n - k):
+        num, a_s, d_s = num * (d_s * v - a_s * u), a_s * a, d_s * d
+    return Scalar.from_ratio(num, b2 * v ** n * d ** math.comb(n - k, 2), ctx.backend)
 
 
 def kernel_mass(spec: OperatorSpec, k: int) -> Scalar:
@@ -140,7 +136,8 @@ def durrmeyer_apply_poly(spec: OperatorSpec, p: Polynomial) -> Polynomial:
     of (1-x)_q^(n-k) and [n choose k]_q [n-k choose i]_q = [n choose k+i]_q
     [k+i choose i]_q, x^j has [n choose j]_q sum_i (-1)^i q^(i(i-1)/2)
     [j choose i]_q W_{j-i}, W from `_kernel_weight`, formed for j <= top + 1,
-    top = min(deg p, n), with one Fraction per coefficient.  x^(top+1) must
+    top = min(deg p, n), in the integer view of `Scalar.as_ratio` (floats read
+    S_k = [k]_q and d = 1) with one division per coefficient.  x^(top+1) must
     cancel: exact residue raises ArithmeticError, float is dropped.
     """
     n, ctx = spec.n, spec.ctx
@@ -152,15 +149,13 @@ def durrmeyer_apply_poly(spec: OperatorSpec, p: Polynomial) -> Polynomial:
         p = p.compose_affine(qn / denom, spec.alpha / denom)
     if p.is_zero:
         return Polynomial.zero(ctx.backend)
-    if ctx.backend is Backend.EXACT:
-        a, d = ctx.q.value.as_integer_ratio()
-        s, ratio, make = ctx.q_int_numerator, operator.floordiv, Fraction
-        lcm = math.lcm(*(c.value.denominator for c in p.coeffs))
-        weights = [c.value.numerator * (lcm // c.value.denominator) for c in p.coeffs]
-    else:  # the same products on floats, with S_k = [k]_q and d = 1
-        a, d, lcm, ratio = ctx.q.value, 1.0, 1, operator.truediv
-        s, make = (lambda i: ctx.q_int(i).value), ratio
-        weights = [c.value for c in p.coeffs]
+    a, d = ctx.q.as_ratio()
+    s = ctx.q_int_numerator
+    # exact q-binomials stay ints, so they divide without remainder
+    ratio = operator.floordiv if ctx.backend is Backend.EXACT else operator.truediv
+    ratios = [c.as_ratio() for c in p.coeffs]
+    lcm = math.lcm(*(den for _, den in ratios))
+    weights = [num * (lcm // den) for num, den in ratios]
     tails = [1] * len(weights)
     for m in range(len(weights) - 2, -1, -1):
         tails[m] = tails[m + 1] * s(n + m + 2)
@@ -177,7 +172,7 @@ def durrmeyer_apply_poly(spec: OperatorSpec, p: Polynomial) -> Polynomial:
             term = a ** (i * (i - 1) // 2) * binom_j * w[j - i]
             inner += -term if i % 2 else term
         den = d ** (j * (n - j) + j * (j - 1) // 2) * lcm * tails[0]
-        out.append(Scalar(make(binom_n * inner, den), ctx.backend))
+        out.append(Scalar.from_ratio(binom_n * inner, den, ctx.backend))
     if len(out) > top + 1:
         residue = out.pop()
         if ctx.backend is Backend.EXACT and not residue.is_zero:

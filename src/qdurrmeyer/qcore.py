@@ -96,6 +96,20 @@ class Scalar:
         return cls(float(value), Backend.FLOAT)
 
     @classmethod
+    def from_ratio(cls, num, den, backend: Backend) -> "Scalar":
+        """num / den as one Fraction when exact, one float division on float.
+
+        A float num or den past the float range raises DomainError instead of
+        giving inf, nan or a spurious 0.
+        """
+        if backend is Backend.EXACT:
+            return cls(Fraction(num, den), backend)
+        value = num / den
+        if not (math.isfinite(value) and math.isfinite(den)):
+            raise DomainError("float ratio leaves the float range; use the exact backend")
+        return cls(value, backend)
+
+    @classmethod
     def zero(cls, backend: Backend) -> "Scalar":
         return cls(0, backend)
 
@@ -112,6 +126,12 @@ class Scalar:
     @property
     def is_zero(self) -> bool:
         return self.value == 0
+
+    def as_ratio(self) -> tuple:
+        """The integer view: (numerator, denominator) in lowest terms when exact, (value, 1) on float."""
+        if self.is_exact:
+            return self.value.numerator, self.value.denominator
+        return self.value, 1
 
     def _lift(self, other):
         """Return the raw value of `other` in this scalar's backend.
@@ -234,7 +254,7 @@ class QContext:
 
     Exact `q_int(n)` is S_n / d^(n-1), S_n = (d^n - a^n)/(d - a) for q = a/d in
     lowest terms, with S_n cached per index by `q_int_numerator`; float
-    `q_int` is a running sum.
+    `q_int` is a running sum, and its S_n is [n]_q with d = 1.
     """
 
     __slots__ = ("q", "backend", "memo", "_qint", "_qnum", "_qfact", "_qbinom", "_qpow")
@@ -304,19 +324,20 @@ class QContext:
             table[n] = Scalar.exact(self.q_int_numerator(n), self.q.value.denominator ** (n - 1))
         return table[n]
 
-    def q_int_numerator(self, n: int) -> int:
-        """S_n = (d^n - a^n)/(d - a), so that exact [n]_q = S_n / d^(n-1) for q = a/d.
+    def q_int_numerator(self, n: int):
+        """S_n with [n]_q = S_n / d^(n-1), in the integer view q = a/d of `Scalar.as_ratio`.
 
-        S_n is congruent to a^(n-1) modulo d, hence prime to d: it is also the
-        numerator of `q_int(n)`.  Exact backend only.
+        Exact: the int S_n = (d^n - a^n)/(d - a), congruent to a^(n-1) modulo d,
+        hence prime to d and also the numerator of `q_int(n)`.  Float: d = 1, so
+        S_n is the float [n]_q itself.
         """
-        if self.backend is not Backend.EXACT:
-            raise BackendMismatchError("q-integer numerators need the exact backend")
         if n < 0:
             raise DomainError("q-integer index must be nonnegative")
+        if self.backend is Backend.FLOAT:
+            return self.q_int(n).value
         table = self._qnum
         if n not in table:
-            a, d = self.q.value.as_integer_ratio()
+            a, d = self.q.as_ratio()
             table[n] = (d ** n - a ** n) // (d - a)
         return table[n]
 

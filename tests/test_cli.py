@@ -15,6 +15,7 @@ from qdurrmeyer.cli import (
     _DECIMAL_LEAF_BITS,
     _TWO_POWERS,
     _big_int_text,
+    _build_parser,
     _int_text,
     _scalar_cell,
     main,
@@ -73,6 +74,25 @@ class TestMomentsCommand:
         )
         assert code == 0
         assert all(line.endswith("true") for line in out.splitlines()[1:])
+
+
+class TestParser:
+    def test_two_calls_build_one_parser(self, capsys):
+        _build_parser.cache_clear()
+        first = run(capsys, "moments", "--n", "2", "--q", "1/2")
+        second = run(capsys, "moments", "--n", "2", "--q", "1/2")
+        assert first == second and first[0] == 0
+        assert _build_parser.cache_info().misses == 1
+
+    def test_usage_errors_still_exit_two_on_the_shared_parser(self, capsys):
+        _, want, _ = run(capsys, "moments", "--n", "2", "--q", "1/2")
+        with pytest.raises(SystemExit) as exc:
+            main(["moments", "--n", "2", "--m-max", "x"])
+        assert exc.value.code == 2
+        assert run(capsys, "moments", "--n", "0", "--q", "1/2")[0] == 2
+        # an error leaves no state behind: the defaults come back on the next call
+        assert run(capsys, "moments", "--n", "2", "--q", "1/2") == (0, want, "")
+        assert _build_parser.cache_info().currsize == 1
 
 
 class TestCentralAndStancuCommands:
@@ -524,6 +544,20 @@ def test_readme_example_output_is_pinned(capsys, command, exit_code, digest):
 @pytest.mark.parametrize("command, exit_code, digest", BENCHMARK_SCALE_EXAMPLES)
 def test_benchmark_scale_output_is_pinned(capsys, command, exit_code, digest):
     assert_pinned(capsys, command, exit_code, digest)
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="the interpreter has no int -> str digit limit")
+@pytest.mark.parametrize("command, exit_code, digest", BENCHMARK_SCALE_EXAMPLES)
+def test_benchmark_scale_output_under_the_default_digit_limit(capsys, command, exit_code, digest):
+    # 4300 digits is the interpreter's default; main must print under it and leave it set
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        assert_pinned(capsys, command, exit_code, digest)
+        assert sys.get_int_max_str_digits() == 4300
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 @pytest.mark.parametrize("command, exit_code, digest", INTEGER_ROW_EXAMPLES)

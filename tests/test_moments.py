@@ -33,13 +33,12 @@ from qdurrmeyer import moments, operators
 from qdurrmeyer.asymptotics import QSequence, convergence_table
 from qdurrmeyer.moments import (
     MomentReport,
-    _closed_scaled_deviation,
     central_identity_coefficients,
     recurrence_reports,
     stated_central_factor,
     stated_central_moment,
+    scaled_deviation_at,
     stated_raw_moment,
-    stancu_moment_at,
 )
 from qdurrmeyer.verify import build_report
 
@@ -210,7 +209,7 @@ class TestIntegerClosedTable:
                  for m, c in enumerate(coeffs)),
                 ctx.zero,
             )
-            got = _closed_scaled_deviation(OperatorSpec(n, ctx, *(params or ())), coeffs, x)
+            got = scaled_deviation_at(OperatorSpec(n, ctx, *(params or ())), coeffs, x)
             assert got == ctx.q_int(n) * (image - p_at_x)
 
     def test_degree_five_row_equals_the_brute_image(self, ctx_half):
@@ -219,16 +218,16 @@ class TestIntegerClosedTable:
         p = Polynomial(coeffs, Backend.EXACT)
         brute = durrmeyer_apply_poly(OperatorSpec(n, ctx_half), p).eval(x)
         want = ctx_half.q_int(n) * (brute - p.eval(x))
-        assert _closed_scaled_deviation(OperatorSpec(n, ctx_half), coeffs, x) == want
+        assert scaled_deviation_at(OperatorSpec(n, ctx_half), coeffs, x) == want
 
     def test_refuses_what_the_tables_do_not_cover(self, ctx_half):
         with pytest.raises(BackendMismatchError):
-            _closed_scaled_deviation(
-                OperatorSpec(4, ctx_half), [ctx_half.one], Scalar.floating(0.5)
-            )
+            scaled_deviation_at(OperatorSpec(4, ctx_half), [ctx_half.one], Scalar.floating(0.5))
         ctx = QContext.floating(0.5)
         with pytest.raises(BackendMismatchError):
-            _closed_scaled_deviation(OperatorSpec(4, ctx), [ctx.one], Scalar.floating(0.5))
+            scaled_deviation_at(OperatorSpec(4, ctx), [ctx.one], Scalar.exact(1, 2))
+        with pytest.raises(BackendMismatchError):
+            scaled_deviation_at(OperatorSpec(4, ctx), [Scalar.exact(1)], Scalar.floating(0.5))
 
     @pytest.mark.parametrize("n", [8, 64, 1024])
     def test_float_tables_match_exact_ones(self, n):
@@ -244,6 +243,41 @@ class TestIntegerClosedTable:
                     for i in range(m + 1)
                 )
                 assert worst < 1e-12, (q, m)
+
+    def test_float_tables_to_degree_ten_match_exact_ones_at_the_same_double(self):
+        # q = 0.9 is not dyadic: the exact reference takes its binary64 value
+        n, q = 64, 0.9
+        exact, floating = QContext.exact(Fraction(q)), QContext.floating(q)
+        for m in range(11):
+            want, got = raw_moment_closed(n, m, exact), raw_moment_closed(n, m, floating)
+            assert got.degree == m
+            for i in range(m + 1):
+                ref = want.coefficient(i).value
+                assert abs(Fraction(got.coefficient(i).value) - ref) <= 1e-12 * abs(ref), (m, i)
+
+    @pytest.mark.parametrize("n", [8, 64, 256, 1024])
+    @pytest.mark.parametrize("q_of_n", ["one-minus-inv-n-squared", "0.99"])
+    @pytest.mark.parametrize("m, params", [(4, None), (3, (1, 2))])
+    def test_float_rows_match_the_exact_row_at_the_same_doubles(self, n, q_of_n, m, params):
+        # plain t^4 and Stancu (1, 2) t^3, each input read exactly at its binary64 value
+        q = 1.0 - float(n) ** -2 if q_of_n == "one-minus-inv-n-squared" else 0.99
+        x = 0.3
+        rows = []
+        for ctx, lift in ((QContext.floating(q), Scalar.floating),
+                          (QContext.exact(Fraction(q)), lambda v: Scalar.exact(Fraction(v)))):
+            spec = OperatorSpec(n, ctx, *(lift(v) for v in params or ()))
+            rows.append(scaled_deviation_at(spec, [ctx.zero] * m + [ctx.one], lift(x)))
+        got, want = rows
+        assert type(got.value) is float and type(want.value) is Fraction
+        assert abs(Fraction(got.value) - want.value) <= 1e-12 * abs(want.value)
+
+    def test_float_row_past_the_range_raises(self):
+        # a Stancu row shares the denominator ([n]_q + beta)^M S_{n+2} ... S_{n+M+1},
+        # about 1e361 here: the float row refuses instead of printing nan
+        n, ctx = 4096, QContext.floating(1 - 4096.0 ** -2)
+        spec = OperatorSpec(n, ctx, Scalar.floating(1.0), Scalar.floating(2.0))
+        with pytest.raises(DomainError):
+            scaled_deviation_at(spec, [ctx.zero] * 50 + [ctx.one], Scalar.floating(0.3))
 
     @pytest.mark.parametrize("variant", ["plain", "stancu"])
     def test_one_row_needs_few_gcd_calls(self, monkeypatch, variant):
@@ -335,7 +369,7 @@ class TestContextMemo:
         bodies = {
             inspect.unwrap(moments.central_factor_expand).__code__:
                 lambda v: ("expand", v["m"], id(v["ctx"])),
-            moments._stancu_terms.__code__:
+            inspect.unwrap(moments._stancu_recursion).__code__:
                 lambda v: ("stancu", v["n"], v["m"], v["alpha"].value, v["beta"].value,
                            v["raw_route"], id(v["ctx"])),
         }
@@ -503,8 +537,6 @@ class TestStancuMoments:
     def test_parameter_validation(self, ctx_half):
         with pytest.raises(DomainError):
             stancu_moment(2, 1, ctx_half, Scalar.exact(3), Scalar.exact(1))
-        with pytest.raises(DomainError):
-            stancu_moment_at(2, 1, ctx_half, Scalar.exact(3), Scalar.exact(1), Scalar.exact(1, 3))
 
     @pytest.mark.parametrize("n", [8, 64, 256])
     @pytest.mark.parametrize("q", [Fraction(1, 2), Fraction(13, 16), "one-minus-inv-n-squared"])
@@ -517,7 +549,7 @@ class TestStancuMoments:
             t_m = [ctx.zero] * m + [ctx.one]
             for x in xs:
                 want = ctx.q_int(n) * (raw_moment_closed(n, m, ctx).eval(x) - x ** m)
-                assert _closed_scaled_deviation(OperatorSpec(n, ctx), t_m, x) == want
+                assert scaled_deviation_at(OperatorSpec(n, ctx), t_m, x) == want
         for a, b in ((0, 0), (1, 2), (Fraction(1, 3), Fraction(1, 2))):
             alpha, beta = ctx.scalar(a), ctx.scalar(b)
             for raw_route in ("brute", "closed") if n < 256 else ("closed",):
@@ -525,12 +557,9 @@ class TestStancuMoments:
                     poly = stancu_moment(n, m, ctx, alpha, beta, raw_route=raw_route)
                     t_m = [ctx.zero] * m + [ctx.one]
                     for x in xs:
-                        image = poly.eval(x)
-                        got = stancu_moment_at(n, m, ctx, alpha, beta, x, raw_route)
-                        assert type(got.value) is Fraction and got == image
-                        if raw_route == "closed":
-                            dev = _closed_scaled_deviation(OperatorSpec(n, ctx, alpha, beta), t_m, x)
-                            assert dev == ctx.q_int(n) * (image - x ** m)
+                        dev = scaled_deviation_at(OperatorSpec(n, ctx, alpha, beta), t_m, x)
+                        assert type(dev.value) is Fraction
+                        assert dev == ctx.q_int(n) * (poly.eval(x) - x ** m)
 
 
 class TestStancuCentralMoments:

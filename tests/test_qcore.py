@@ -64,6 +64,30 @@ class TestScalar:
         with pytest.raises(AttributeError):
             (x + 1).value = Fraction(0)
 
+    def test_integer_view_round_trips(self):
+        for value in (Fraction(0), Fraction(-6, 4), Fraction(7, 3), Fraction(2 ** 70 + 1, 3 ** 40)):
+            s = Scalar.exact(value)
+            num, den = s.as_ratio()
+            assert type(num) is int and type(den) is int and math.gcd(num, den) == 1
+            back = Scalar.from_ratio(num, den, Backend.EXACT)
+            assert type(back.value) is Fraction and back == s
+        # an unreduced ratio is reduced by the one Fraction
+        assert Scalar.from_ratio(6, -4, Backend.EXACT).as_ratio() == (-3, 2)
+        for value in (0.0, -1.5, 0.3, 1e-300, 2.0 ** 600):
+            s = Scalar.floating(value)
+            assert s.as_ratio() == (value, 1)
+            assert Scalar.from_ratio(*s.as_ratio(), Backend.FLOAT).value.hex() == value.hex()
+        # one float division, never a Fraction
+        got = Scalar.from_ratio(1.0, 3, Backend.FLOAT)
+        assert type(got.value) is float and got.value == 1.0 / 3
+
+    @pytest.mark.parametrize("num, den", [
+        (1e300, 1e-300), (math.inf, 2.0), (math.inf, math.inf), (1.0, math.inf), (0, math.inf),
+    ])
+    def test_float_ratio_past_the_range_raises(self, num, den):
+        with pytest.raises(DomainError):
+            Scalar.from_ratio(num, den, Backend.FLOAT)
+
 
 class TestQContext:
     def test_q_range_enforced(self):
@@ -89,10 +113,8 @@ class TestQInteger:
         for ctx in (ctx_half, QContext.floating(0.5)):
             with pytest.raises(DomainError):
                 ctx.q_int(-1)
-        with pytest.raises(DomainError):
-            QContext.exact(1, 2).q_int_numerator(-1)
-        with pytest.raises(BackendMismatchError):
-            QContext.floating(0.5).q_int_numerator(3)
+            with pytest.raises(DomainError):
+                ctx.q_int_numerator(-1)
 
     def test_recursion_identities(self, ctx_grid):
         # [n+1]_q = [n]_q + q^n = 1 + q [n]_q, exactly, for n <= 64
@@ -132,6 +154,14 @@ class TestQInteger:
         for n in range(1026):
             assert ctx.q_int(n).value.hex() == total.hex()
             total, power = total + power, power * q
+
+    @pytest.mark.parametrize("q", [0.5, 0.9, 1 - 2 ** -20])
+    def test_float_numerator_is_the_float_q_int(self, q):
+        # the integer view of a float q is (q, 1), so S_n = [n]_q d^(n-1) = [n]_q
+        ctx = QContext.floating(q)
+        assert ctx.q.as_ratio() == (q, 1)
+        for n in (0, 1, 2, 7, 64, 1025):
+            assert ctx.q_int_numerator(n) == ctx.q_int(n).value
 
     def test_limit_is_n(self):
         # along q = 1 - 2^-i the q-integer approaches n at rate O(1-q)
