@@ -34,7 +34,6 @@ from .operators import (
     kernel_mass,
 )
 from .moments import (
-    MomentReport,
     central_factor_expand,
     central_moment,
     raw_moment_brute,
@@ -65,7 +64,6 @@ __all__ = [
     "Polynomial",
     "BivariateExpansion",
     "OperatorSpec",
-    "MomentReport",
     "ConvergenceRow",
     "QSequence",
     "q_pochhammer_one_minus",

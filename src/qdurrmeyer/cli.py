@@ -32,10 +32,10 @@ from .moments import (
     central_moment,
     raw_moment_brute,
     raw_moment_closed,
-    recurrence_reports,
+    raw_moment_recurrence,
     stancu_moment,
 )
-from .operators import OperatorSpec, check_stancu_parameters, durrmeyer_apply_poly
+from .operators import OperatorSpec, durrmeyer_apply_poly
 from .polyalg import Polynomial
 from .qcore import BUILTIN_NAMES, Backend, FunctionSpec, QContext, Scalar
 from .verify import build_report
@@ -251,10 +251,10 @@ def _emit(cfg: RunConfig, header: Sequence[str], rows: list[list[str]], verdict:
 
 
 def _raw_routes(n: int, m: int, ctx: QContext, opts: dict):
-    rec = recurrence_reports(n, opts["m_max"], ctx)[m]
+    rec = raw_moment_recurrence(n, opts["m_max"], ctx)[m]
     brute = raw_moment_brute(n, m, ctx)
     closed = raw_moment_closed(n, m, ctx)
-    return brute, [("closed", closed), ("brute", brute), (rec.route, rec.value)]
+    return brute, [("closed", closed), ("brute", brute), ("recurrence", rec)]
 
 
 def _central_routes(n: int, m: int, ctx: QContext, opts: dict):
@@ -487,7 +487,6 @@ def _build_config(args) -> RunConfig:
     if args.command == "stancu-moments":
         alpha = _parse_scalar(args.alpha, backend)
         beta = _parse_scalar(args.beta, backend)
-        check_stancu_parameters(alpha, beta, backend)
         opts["alpha"], opts["beta"] = alpha, beta
     if args.command == "voronovskaja":
         opts["f"] = build_function(args.f, backend)
@@ -511,7 +510,6 @@ def _build_config(args) -> RunConfig:
                 raise UsageError("stancu variant needs --alpha and --beta")
             alpha = _parse_scalar(args.alpha, backend)
             beta = _parse_scalar(args.beta, backend)
-            check_stancu_parameters(alpha, beta, backend)
             opts["alpha"], opts["beta"] = alpha, beta
         elif args.alpha is not None or args.beta is not None:
             raise UsageError("--alpha/--beta only apply to the stancu variant")

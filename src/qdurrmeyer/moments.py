@@ -16,8 +16,7 @@ Routes for the raw moments D^q_{n,m}(x) = D_{n,q}(t^m; x):
               at x = u/v
   recurrence  [n+m+2]_q M_{m+1} = ([m+1]_q + q^(m+1) x [n]_q) M_m
                                    + x(1-x) q^(m+1) D_q(M_m),
-              applied under the guard n > m + 2 and filled from the brute
-              route outside it
+              from M_0 = 1 at every n >= 1, with no call to the other routes
 
 Central moments use either the product expansion of
 (t-x)_q^m = prod_{s<m} (t - q^s x) against brute raw moments, or its
@@ -48,12 +47,10 @@ from .polyalg import BivariateExpansion, Polynomial
 from .qcore import QContext, Scalar
 
 __all__ = [
-    "MomentReport",
     "AuditEntry",
     "raw_moment_brute",
     "raw_moment_closed",
     "raw_moment_recurrence",
-    "recurrence_reports",
     "central_factor_expand",
     "central_identity_coefficients",
     "central_moment",
@@ -63,38 +60,12 @@ __all__ = [
     "stated_raw_moment",
     "stated_central_moment",
     "transcription_audit",
-    "recurrence_guard",
 ]
 
-ROUTE_BRUTE = "brute"
 ROUTE_CLOSED = "closed"
-ROUTE_RECURRENCE = "recurrence"
-ROUTE_BRUTE_FALLBACK = "brute-fallback"
 ROUTE_EXPANSION = "expansion"
 ROUTE_RECOMBINATION = "recombination"
 ROUTE_STANCU_RECURSION = "recursion"
-
-
-def recurrence_guard(n: int, m: int) -> bool:
-    """Guard for the recurrence step m -> m+1."""
-    return n > m + 2
-
-
-@dataclass(frozen=True)
-class MomentReport:
-    """One computed moment polynomial together with the route that made it."""
-
-    n: int
-    m: int
-    ctx: QContext
-    route: str
-    value: Polynomial
-
-    def __post_init__(self):
-        if self.value.backend is not self.ctx.backend:
-            raise DomainError("moment value backend differs from context")
-        if self.value.degree > self.m:
-            raise DomainError("moment polynomial degree exceeds m")
 
 
 def _validate_nm(n: int, m: int):
@@ -288,33 +259,23 @@ def _recurrence_step(n: int, m: int, current: Polynomial, ctx: QContext) -> Poly
     linear = Polynomial((ctx.q_int(m + 1), qm1 * ctx.q_int(n)), ctx.backend)
     x_one_minus_x = Polynomial((ctx.zero, ctx.one, -ctx.one), ctx.backend)
     numerator = linear * current + x_one_minus_x.scale(qm1) * current.q_derivative(ctx)
-    # the x^(m+2) term cancels identically; drop its float-roundoff residue
-    # so the degree bound deg <= m+1 survives on the float backend
+    # the image of t^(m+1) has degree <= min(m+1, n); the terms above cancel
+    # identically, so drop their float-roundoff residue
     out = numerator.scale(ctx.one / ctx.q_int(n + m + 2))
-    if out.degree > m + 1:
-        out = Polynomial(out.coeffs[: m + 2], ctx.backend)
+    top = min(m + 1, n)
+    if out.degree > top:
+        out = Polynomial(out.coeffs[: top + 1], ctx.backend)
     return out
 
 
 @_memo_on_context
-def recurrence_reports(n: int, m_max: int, ctx: QContext) -> tuple[MomentReport, ...]:
-    """Moments 0..m_max via the recurrence, with brute fill outside the guard."""
-    _validate_nm(n, m_max)
-    reports = [MomentReport(n, 0, ctx, ROUTE_RECURRENCE, Polynomial.one(ctx.backend))]
-    for m in range(m_max):
-        if recurrence_guard(n, m):
-            value = _recurrence_step(n, m, reports[-1].value, ctx)
-            route = ROUTE_RECURRENCE
-        else:
-            value = raw_moment_brute(n, m + 1, ctx)
-            route = ROUTE_BRUTE_FALLBACK
-        reports.append(MomentReport(n, m + 1, ctx, route, value))
-    return tuple(reports)
-
-
-def raw_moment_recurrence(n: int, m_max: int, ctx: QContext) -> list[Polynomial]:
+def raw_moment_recurrence(n: int, m_max: int, ctx: QContext) -> tuple[Polynomial, ...]:
     """Values of the recurrence route, one polynomial per m in 0..m_max."""
-    return [r.value for r in recurrence_reports(n, m_max, ctx)]
+    _validate_nm(n, m_max)
+    values = [Polynomial.one(ctx.backend)]
+    for m in range(m_max):
+        values.append(_recurrence_step(n, m, values[-1], ctx))
+    return tuple(values)
 
 
 # -- central moments ------------------------------------------------------------
@@ -395,16 +356,15 @@ def _central_expansion(n: int, m: int, ctx: QContext) -> Polynomial:
 
 
 @_memo_on_context
-def _stancu_recursion(n, m, ctx, alpha, beta, raw_route) -> Polynomial:
+def _stancu_recursion(n, m, ctx, alpha, beta) -> Polynomial:
     """The recursion route of `stancu_moment`, for validated arguments."""
-    raw = raw_moment_closed if raw_route == ROUTE_CLOSED else raw_moment_brute
     qn = ctx.q_int(n)
     shift_m = (qn + beta) ** m
     total = Polynomial.zero(ctx.backend)
     for j in range(m + 1):
         c = (qn ** j) * (alpha ** (m - j)) / shift_m * math.comb(m, j)
         if not c.is_zero:
-            total = total + raw(n, j, ctx).scale(c)
+            total = total + raw_moment_brute(n, j, ctx).scale(c)
     return total
 
 
@@ -415,7 +375,6 @@ def stancu_moment(
     alpha: Scalar,
     beta: Scalar,
     route: str = ROUTE_STANCU_RECURSION,
-    raw_route: str = ROUTE_BRUTE,
 ) -> Polynomial:
     """Image of t^m under the Stancu variant, as a polynomial in x.
 
@@ -423,14 +382,14 @@ def stancu_moment(
 
         sum_j C(m, j) [n]^j alpha^(m-j) / ([n]+beta)^m * D_{n,q}(t^j; x)
 
-    with the plain moments drawn from `raw_route` ("brute" or "closed").
+    with the plain moments drawn from the brute route.
     The closed route is the quoted two-parameter table, available for
     m <= 2; it agrees with the recursion exactly.
     """
     _validate_nm(n, m)
     check_stancu_parameters(alpha, beta, ctx.backend)
     if route == ROUTE_STANCU_RECURSION:
-        return _stancu_recursion(n, m, ctx, alpha, beta, raw_route)
+        return _stancu_recursion(n, m, ctx, alpha, beta)
     if route == ROUTE_CLOSED:
         if m > 2:
             raise DomainError("closed stancu tables stop at m = 2; use the recursion")

@@ -136,11 +136,22 @@ class TestCentralAndStancuCommands:
         assert code == 3
         assert out.splitlines()[-1].startswith("256,0.99609375,0.3,error:float q-factorial")
 
-    def test_stancu_parameter_order_enforced(self, capsys):
-        code, _, _ = run(
-            capsys, "stancu-moments", "--n", "2", "--q", "1/2", "--alpha", "3", "--beta", "1"
-        )
-        assert code == 2
+    @pytest.mark.parametrize("to_file", [False, True])
+    @pytest.mark.parametrize("backend", ["exact", "float"])
+    @pytest.mark.parametrize("alpha, beta", [("3", "1"), ("-1", "2")])
+    @pytest.mark.parametrize("command", [
+        "stancu-moments --n 2 --q 1/2",
+        "voronovskaja --f t2 --x 0.3 --n-list 8,16 --variant stancu",
+    ])
+    def test_stancu_parameter_order_enforced(self, capsys, tmp_path, command, alpha, beta,
+                                             backend, to_file):
+        # the library's own parameter check reports before any row is written
+        out = tmp_path / "rows.csv"
+        argv = command.split() + [f"--alpha={alpha}", f"--beta={beta}", "--backend", backend]
+        code, stdout, err = run(capsys, *argv, *(["--out", str(out)] if to_file else []))
+        want = "usage error: stancu parameters need 0 <= alpha <= beta\n"
+        assert (code, stdout, err) == (2, "", want)
+        assert not out.exists()
 
 
 class TestVoronovskajaCommand:
@@ -446,7 +457,7 @@ class TestVerifyCommand:
 # of --out), pinned so that refactors keep the output byte for byte
 README_EXAMPLES = [
     ("moments --n 2 --q 1/2", 0,
-     "55f4682ac4ee720d0bb4aaf94b9721ad443557d4d3c00d709a591d704f2eccf5"),
+     "80c110d8f4b8874bfda0f9f996df93ae3e9b9e874b3f6f69261c06a184942698"),
     ("central-moments --n 3 --q 1/2 --format json", 0,
      "7057802e36b9e3828b7f90bf27967d8cb92db2e554ebf7c7d2a70b40e387658b"),
     ("stancu-moments --n 2 --q 1/2 --alpha 1 --beta 2", 0,

@@ -32,9 +32,7 @@ from qdurrmeyer import (
 from qdurrmeyer import moments, operators
 from qdurrmeyer.asymptotics import QSequence, convergence_table
 from qdurrmeyer.moments import (
-    MomentReport,
     central_identity_coefficients,
-    recurrence_reports,
     stated_central_factor,
     stated_central_moment,
     scaled_deviation_at,
@@ -95,7 +93,6 @@ class TestRawMoments:
                     assert rec[m] == brute, (n, m, q)
 
     def test_route_agreement_at_scale(self):
-        # n > m + 2 throughout, so every recurrence step takes its main branch
         for q in (Fraction(1, 2), Fraction(13, 16)):
             for n in (48, 64):
                 ctx = QContext.exact(q)
@@ -157,7 +154,7 @@ class TestRawMoments:
         # the kernel sum's cancelling high-order terms must not survive
         # as float residue above the theoretical degree min(m, n)
         ctx = QContext.floating(0.85)
-        for n in (3, 6):
+        for n in (1, 2, 3, 6):
             stancu = OperatorSpec(n, ctx, Scalar.floating(1.0), Scalar.floating(2.0))
             rec = raw_moment_recurrence(n, 4, ctx)
             for m in range(5):
@@ -204,7 +201,7 @@ class TestIntegerClosedTable:
         p_at_x = sum((c * x ** m for m, c in enumerate(coeffs)), ctx.zero)
         for params in (None, (ctx.scalar(Fraction(1, 3)), ctx.scalar(Fraction(1, 2)))):
             image = sum(
-                (c * (stancu_moment(n, m, ctx, *params, raw_route="closed") if params
+                (c * (stancu_moment(n, m, ctx, *params) if params
                       else raw_moment_closed(n, m, ctx)).eval(x)
                  for m, c in enumerate(coeffs)),
                 ctx.zero,
@@ -320,19 +317,19 @@ class TestRecurrence:
         )
         assert got == expected
 
-    def test_fallback_outside_guard_is_marked_and_exact(self, ctx_half):
-        reports = recurrence_reports(2, 4, ctx_half)
-        # n = 2: the guard n > m + 2 already fails at the first step
-        assert [r.route for r in reports[1:]] == ["brute-fallback"] * 4
-        for r in reports:
-            assert r.value == raw_moment_brute(2, r.m, ctx_half)
-
-    def test_guarded_steps_use_recurrence(self, ctx_half):
-        # n = 8: the guard n > m+2 holds for steps m = 0..5 and fails at m = 6
-        reports = recurrence_reports(8, 7, ctx_half)
-        assert [r.route for r in reports[1:7]] == ["recurrence"] * 6
-        assert reports[7].route == "brute-fallback"
-        assert reports[7].value == raw_moment_brute(8, 7, ctx_half)
+    @pytest.mark.parametrize("n", [1, 2, 8])
+    def test_steps_past_n_stay_exact_without_the_brute_route(self, n, monkeypatch):
+        # at m >= n the image keeps degree n; the recurrence never asks the kernel sum
+        calls = []
+        real = moments.raw_moment_brute
+        monkeypatch.setattr(moments, "raw_moment_brute",
+                            lambda *a: calls.append(a) or real(*a))
+        for q in Q_GRID:
+            ctx = QContext.exact(q)
+            rec = raw_moment_recurrence(n, 10, ctx)
+            assert calls == []
+            for m in range(11):
+                assert rec[m] == raw_moment_closed(n, m, ctx) == real(n, m, ctx), (n, m, q)
 
     def test_high_orders_match_brute(self, ctx_half):
         values = raw_moment_recurrence(8, 6, ctx_half)
@@ -371,7 +368,7 @@ class TestContextMemo:
                 lambda v: ("expand", v["m"], id(v["ctx"])),
             inspect.unwrap(moments._stancu_recursion).__code__:
                 lambda v: ("stancu", v["n"], v["m"], v["alpha"].value, v["beta"].value,
-                           v["raw_route"], id(v["ctx"])),
+                           id(v["ctx"])),
         }
         runs = Counter()
 
@@ -406,7 +403,7 @@ class TestContextMemo:
     def test_repeated_calls_share_one_result(self):
         ctx = QContext.exact(1, 3)
         assert raw_moment_brute(3, 2, ctx) is raw_moment_brute(3, 2, ctx)
-        assert recurrence_reports(6, 4, ctx) is recurrence_reports(6, 4, ctx)
+        assert raw_moment_recurrence(6, 4, ctx) is raw_moment_recurrence(6, 4, ctx)
 
 
 class TestCentralFactor:
@@ -524,15 +521,6 @@ class TestStancuMoments:
         for m in range(5):
             direct = durrmeyer_apply_poly(spec, Polynomial.monomial(m, Backend.EXACT))
             assert direct == stancu_moment(n, m, ctx, alpha, beta), m
-            assert direct == stancu_moment(n, m, ctx, alpha, beta, raw_route="closed"), m
-
-    def test_closed_raw_route_equals_brute_raw_route(self, ctx_half):
-        alpha, beta = Scalar.exact(1), Scalar.exact(3)
-        for n in range(1, 5):
-            for m in range(5):
-                assert stancu_moment(n, m, ctx_half, alpha, beta, raw_route="closed") == (
-                    stancu_moment(n, m, ctx_half, alpha, beta, raw_route="brute")
-                )
 
     def test_parameter_validation(self, ctx_half):
         with pytest.raises(DomainError):
@@ -541,8 +529,7 @@ class TestStancuMoments:
     @pytest.mark.parametrize("n", [8, 64, 256])
     @pytest.mark.parametrize("q", [Fraction(1, 2), Fraction(13, 16), "one-minus-inv-n-squared"])
     def test_value_at_x_equals_polynomial_route(self, n, q):
-        # closed route: also the integer-table image, scaled as in a Voronovskaja row;
-        # the brute route at n = 256 would take seconds
+        # closed route: also the integer-table image, scaled as in a Voronovskaja row
         ctx = QContext.exact(Fraction(n * n - 1, n * n) if isinstance(q, str) else q)
         xs = (Scalar.exact(25, 128), Scalar.exact(2, 3), Scalar.exact(3, 10))
         for m in range(5):
@@ -552,14 +539,13 @@ class TestStancuMoments:
                 assert scaled_deviation_at(OperatorSpec(n, ctx), t_m, x) == want
         for a, b in ((0, 0), (1, 2), (Fraction(1, 3), Fraction(1, 2))):
             alpha, beta = ctx.scalar(a), ctx.scalar(b)
-            for raw_route in ("brute", "closed") if n < 256 else ("closed",):
-                for m in range(5):
-                    poly = stancu_moment(n, m, ctx, alpha, beta, raw_route=raw_route)
-                    t_m = [ctx.zero] * m + [ctx.one]
-                    for x in xs:
-                        dev = scaled_deviation_at(OperatorSpec(n, ctx, alpha, beta), t_m, x)
-                        assert type(dev.value) is Fraction
-                        assert dev == ctx.q_int(n) * (poly.eval(x) - x ** m)
+            for m in range(5):
+                poly = stancu_moment(n, m, ctx, alpha, beta)
+                t_m = [ctx.zero] * m + [ctx.one]
+                for x in xs:
+                    dev = scaled_deviation_at(OperatorSpec(n, ctx, alpha, beta), t_m, x)
+                    assert type(dev.value) is Fraction
+                    assert dev == ctx.q_int(n) * (poly.eval(x) - x ** m)
 
 
 class TestStancuCentralMoments:
@@ -650,10 +636,3 @@ class TestQuotedForms:
             if e.status == "mismatch-documented":
                 assert e.witness
 
-
-class TestMomentReport:
-    def test_validation(self, ctx_half):
-        good = MomentReport(2, 1, ctx_half, "brute", raw_moment_brute(2, 1, ctx_half))
-        assert good.route == "brute"
-        with pytest.raises(DomainError):
-            MomentReport(2, 0, ctx_half, "brute", raw_moment_brute(2, 1, ctx_half))
