@@ -9,7 +9,9 @@ target is (1+alpha-(2+beta)x) f'(x) + x(1-x) f''(x) for the Stancu
 operator, and the plain operator is its case alpha = beta = 0; a finite-q
 form with q-derivatives in place of f', f'' is available for diagnostics.
 The operator is the Stancu one when alpha and beta are given, and they come
-both or neither; each row's operator is one `OperatorSpec`.
+both or neither; each row's operator is one `OperatorSpec`.  Every f is a
+`Polynomial`, whose images and derivatives are exact, or a black-box
+`FunctionSpec`, whose images go through Jackson series.
 
 A caution that the tables make visible: those targets are the limits only
 when q_n^n -> 1 (for example q_n = 1 - 1/n^2).  Along q_n = 1 - 1/n one
@@ -27,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Sequence, Union
+from typing import Callable, Sequence
 
 from .errors import BackendMismatchError, DomainError, SingularRemainderError
 from .moments import central_moment, scaled_deviation_at
@@ -137,25 +139,23 @@ def _err_below(a: Scalar, b: Scalar) -> bool:
     return fa < fb if fa != fb else a < b
 
 
-def _as_spec(f: Union[FunctionSpec, Polynomial]) -> FunctionSpec:
-    return f.as_function_spec() if isinstance(f, Polynomial) else f
-
-
 def _validate_interior(x: Scalar):
     if not (0 < x.value < 1):
         raise DomainError("the asymptotic statements hold for x in (0, 1)")
 
 
-def _scaled_deviation(f: FunctionSpec, x: Scalar, spec: OperatorSpec, tol, max_terms) -> Scalar:
+def _scaled_deviation(
+    f: FunctionSpec | Polynomial, x: Scalar, spec: OperatorSpec, tol, max_terms
+) -> Scalar:
     """[n]_q (image of f at x under `spec`, minus f(x))."""
-    if f.is_polynomial:
+    if isinstance(f, Polynomial):
         return scaled_deviation_at(spec, f.coeffs, x)
     image = durrmeyer_apply_fn(spec, f, x, tol, max_terms)
     return spec.ctx.q_int(spec.n) * (image - f.evaluate(x))
 
 
 def voronovskaja_lhs(
-    f: Union[FunctionSpec, Polynomial],
+    f: FunctionSpec | Polynomial,
     x: Scalar,
     n: int,
     q: Scalar,
@@ -166,19 +166,18 @@ def voronovskaja_lhs(
 ) -> Scalar:
     """[n]_q (operator image of f at x, minus f(x)), on a fresh context.
 
-    Exact for polynomial f on the exact backend at any n: polynomial images
-    go through the closed moment tables, which reach n = 1024 and beyond.
-    Non-polynomial f uses the Jackson kernel path: each of its n + 1 series
+    Exact for a Polynomial f on the exact backend at any n: its images go
+    through the closed moment tables, which reach n = 1024 and beyond.  A
+    black-box FunctionSpec uses the Jackson kernel path: each of its n + 1 series
     needs about n^p ln(1/tol) nodes at q = 1 - n^(-p), so the default
     max_terms caps it near n^p = 150, and its stopping rule bounds no tail.
     """
-    f = _as_spec(f)
     _validate_interior(x)
     return _scaled_deviation(f, x, OperatorSpec(n, QContext(q), alpha, beta), tol, max_terms)
 
 
 def voronovskaja_rhs(
-    f: Union[FunctionSpec, Polynomial],
+    f: FunctionSpec | Polynomial,
     x: Scalar,
     alpha: Scalar | None = None,
     beta: Scalar | None = None,
@@ -186,26 +185,29 @@ def voronovskaja_rhs(
 ) -> Scalar:
     """Second-order target for the scaled deviation.
 
-    With ctx=None this is the limit form with classical derivatives;
-    passing a context evaluates the finite-q form with D_q and D_q^2.
+    With ctx=None this is the limit form with classical derivatives
+    (`Polynomial.derivative`, or a builtin's own); passing a context
+    evaluates the finite-q form with D_q and D_q^2.
     """
-    f = _as_spec(f)
     _validate_interior(x)
     check_stancu_parameters(alpha, beta, x.backend)
     if alpha is None:
         alpha = beta = 0
-    if ctx is None:
-        d1 = f.classical_derivative(x, 1)
-        d2 = f.classical_derivative(x, 2)
-    else:
+    if ctx is not None:
         d1 = q_derivative(f, x, ctx, 1)
         d2 = q_derivative(f, x, ctx, 2)
+    elif isinstance(f, Polynomial):
+        d1 = f.derivative().eval(x)
+        d2 = f.derivative().derivative().eval(x)
+    else:
+        d1 = f.classical_derivative(x, 1)
+        d2 = f.classical_derivative(x, 2)
     one = Scalar.one(x.backend)
     return (one + alpha - (2 + beta) * x) * d1 + x * (one - x) * d2
 
 
 def convergence_grid(
-    f: Union[FunctionSpec, Polynomial],
+    f: FunctionSpec | Polynomial,
     xs: Sequence[Scalar],
     seq: QSequence,
     n_list: Sequence[int],
@@ -221,7 +223,6 @@ def convergence_grid(
     are recorded on their row; rows carry err_decreased against the row
     before them for the same x.
     """
-    f = _as_spec(f)
     if not xs:
         raise DomainError("convergence_grid needs at least one x")
     for x in xs:
@@ -250,7 +251,7 @@ def convergence_grid(
 
 
 def convergence_table(
-    f: Union[FunctionSpec, Polynomial],
+    f: FunctionSpec | Polynomial,
     x: Scalar,
     seq: QSequence,
     n_list: Sequence[int],
@@ -312,7 +313,7 @@ def decay_slope(
 
 
 def q_taylor_remainder(
-    f: Union[FunctionSpec, Polynomial], x: Scalar, t: Scalar, ctx: QContext
+    f: FunctionSpec | Polynomial, x: Scalar, t: Scalar, ctx: QContext
 ) -> Scalar:
     """theta_q(x; t), the normalized second-order q-Taylor residue.
 
@@ -322,7 +323,6 @@ def q_taylor_remainder(
     with theta_q(x; x) = 0 by definition.  The point t = qx (for t != x)
     is a denominator root and raises SingularRemainderError.
     """
-    f = _as_spec(f)
     _validate_interior(x)
     if not (0 <= t.value <= 1):
         raise DomainError("t must lie in [0, 1]")
@@ -338,8 +338,8 @@ def q_taylor_remainder(
     d1 = q_derivative(f, x, ctx, 1)
     d2 = q_derivative(f, x, ctx, 2)
     residue = (
-        f.evaluate(t)
-        - f.evaluate(x)
+        f(t)
+        - f(x)
         - d1 * t_minus_x
         - d2 / ctx.q_int(2) * denom
     )

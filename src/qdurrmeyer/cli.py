@@ -34,6 +34,7 @@ from .moments import (
     raw_moment_closed,
     raw_moment_recurrence,
     stancu_moment,
+    stated_stancu_moment,
 )
 from .operators import OperatorSpec, durrmeyer_apply_poly
 from .polyalg import Polynomial
@@ -58,11 +59,9 @@ _POLY_FUNCTIONS = {
 FUNCTION_NAMES = tuple(_POLY_FUNCTIONS) + BUILTIN_NAMES
 
 
-def build_function(name: str, backend: Backend) -> FunctionSpec:
+def build_function(name: str, backend: Backend) -> FunctionSpec | Polynomial:
     if name in _POLY_FUNCTIONS:
-        return FunctionSpec.polynomial(
-            [Scalar(c, backend) for c in _POLY_FUNCTIONS[name]]
-        )
+        return Polynomial([Scalar(c, backend) for c in _POLY_FUNCTIONS[name]], backend)
     if backend is not Backend.FLOAT:
         raise UsageError(f"function {name!r} needs --backend float")
     return FunctionSpec.builtin(name)
@@ -212,6 +211,8 @@ class RunConfig:
                 ]
             elif isinstance(value, QSequence):
                 flat[key] = value.label
+            elif isinstance(value, Polynomial):  # the cell text of pinned JSON configs
+                flat[key] = f"FunctionSpec(poly deg {value.degree})"
             elif isinstance(value, FunctionSpec):
                 flat[key] = repr(value)
             elif value is None or isinstance(value, (int, float, str, bool)):
@@ -267,7 +268,7 @@ def _stancu_routes(n: int, m: int, ctx: QContext, opts: dict):
     recursion = stancu_moment(n, m, ctx, alpha, beta)
     routes = [("recursion", recursion)]
     if m <= 2:
-        routes.append(("closed", stancu_moment(n, m, ctx, alpha, beta, route="closed")))
+        routes.append(("closed", stated_stancu_moment(n, m, ctx, alpha, beta)))
     spec = OperatorSpec(n, ctx, alpha, beta)
     routes.append(("direct", durrmeyer_apply_poly(spec, Polynomial.monomial(m, ctx.backend))))
     return recursion, routes
@@ -411,14 +412,14 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="output path (default stdout)")
         if q_flag:
             p.add_argument("--q", default="1/2", help="deformation parameter, e.g. 1/2 or 0.5")
-            p.add_argument(
-                "--tol", type=float, default=1e-12,
-                help="route-agreement tolerance on the float backend",
-            )
 
     for name, (help_text, _, _) in _MOMENT_TABLES.items():
         p = sub.add_parser(name, help=help_text)
         common(p)
+        p.add_argument(
+            "--tol", type=float, default=1e-12,
+            help="route-agreement tolerance on the float backend",
+        )
         p.add_argument("--n", type=int, required=True)
         p.add_argument("--m-max", type=int, default=4)
         if name == "stancu-moments":

@@ -59,13 +59,13 @@ __all__ = [
     "stancu_central_moment",
     "stated_raw_moment",
     "stated_central_moment",
+    "stated_stancu_moment",
+    "stated_stancu_central_moment",
     "transcription_audit",
 ]
 
 ROUTE_CLOSED = "closed"
 ROUTE_EXPANSION = "expansion"
-ROUTE_RECOMBINATION = "recombination"
-ROUTE_STANCU_RECURSION = "recursion"
 
 
 def _validate_nm(n: int, m: int):
@@ -357,7 +357,7 @@ def _central_expansion(n: int, m: int, ctx: QContext) -> Polynomial:
 
 @_memo_on_context
 def _stancu_recursion(n, m, ctx, alpha, beta) -> Polynomial:
-    """The recursion route of `stancu_moment`, for validated arguments."""
+    """The body of `stancu_moment`, for validated arguments."""
     qn = ctx.q_int(n)
     shift_m = (qn + beta) ** m
     total = Polynomial.zero(ctx.backend)
@@ -368,97 +368,37 @@ def _stancu_recursion(n, m, ctx, alpha, beta) -> Polynomial:
     return total
 
 
-def stancu_moment(
-    n: int,
-    m: int,
-    ctx: QContext,
-    alpha: Scalar,
-    beta: Scalar,
-    route: str = ROUTE_STANCU_RECURSION,
-) -> Polynomial:
+def stancu_moment(n: int, m: int, ctx: QContext, alpha: Scalar, beta: Scalar) -> Polynomial:
     """Image of t^m under the Stancu variant, as a polynomial in x.
 
-    The recursion route rewrites the image through plain moments:
+    The image is rewritten through plain moments:
 
         sum_j C(m, j) [n]^j alpha^(m-j) / ([n]+beta)^m * D_{n,q}(t^j; x)
 
-    with the plain moments drawn from the brute route.
-    The closed route is the quoted two-parameter table, available for
-    m <= 2; it agrees with the recursion exactly.
+    with the plain moments drawn from the brute route.  The quoted m <= 2
+    table is `stated_stancu_moment`; it agrees with this exactly.
     """
     _validate_nm(n, m)
     check_stancu_parameters(alpha, beta, ctx.backend)
-    if route == ROUTE_STANCU_RECURSION:
-        return _stancu_recursion(n, m, ctx, alpha, beta)
-    if route == ROUTE_CLOSED:
-        if m > 2:
-            raise DomainError("closed stancu tables stop at m = 2; use the recursion")
-        q, qi = ctx.q, ctx.q_int
-        qn = ctx.q_int(n)
-        shift = qn + beta
-        if m == 0:
-            return Polynomial.one(ctx.backend)
-        if m == 1:
-            den = qi(n + 2) * shift
-            return Polynomial(
-                ((qn + alpha * qi(n + 2)) / den, q * qn ** 2 / den), ctx.backend
-            )
-        den = shift ** 2 * qi(n + 2) * qi(n + 3)
-        x2 = ctx.q_power(3) * qn ** 3 * (qn - 1) / den
-        x1 = ((q * qi(2) ** 2 + 2 * alpha * ctx.q_power(4)) * qn ** 3
-              + 2 * alpha * q * qi(3) * qn ** 2) / den
-        x0 = alpha ** 2 / shift ** 2 + (
-            (ctx.one + q + 2 * alpha * ctx.q_power(3)) * qn ** 2 + 2 * alpha * qi(3) * qn
-        ) / den
-        return Polynomial((x0, x1, x2), ctx.backend)
-    raise DomainError(f"unknown stancu-moment route {route!r}")
+    return _stancu_recursion(n, m, ctx, alpha, beta)
 
 
 def stancu_central_moment(
-    n: int,
-    m: int,
-    ctx: QContext,
-    alpha: Scalar,
-    beta: Scalar,
-    route: str = ROUTE_RECOMBINATION,
+    n: int, m: int, ctx: QContext, alpha: Scalar, beta: Scalar
 ) -> Polynomial:
     """Image of the ordinary power (t-x)^m under the Stancu variant.
 
-    The recombination route is binomial recombination of the Stancu raw
-    moments and is the trusted one.  The closed route is the quoted m <= 2
-    table; its m = 2 entry is misprinted (the audit documents this), so it
-    is kept only for the transcription audit.
+    Binomial recombination of the Stancu raw moments.  The quoted m <= 2
+    table is `stated_stancu_central_moment`; its m = 2 entry is misprinted.
     """
     _validate_nm(n, m)
     check_stancu_parameters(alpha, beta, ctx.backend)
-    if route == ROUTE_RECOMBINATION:
-        total = Polynomial.zero(ctx.backend)
-        for j in range(m + 1):
-            sign = ctx.one if (m - j) % 2 == 0 else -ctx.one
-            weight = Polynomial.monomial(m - j, ctx.backend, sign * math.comb(m, j))
-            total = total + weight * stancu_moment(n, j, ctx, alpha, beta)
-        return total
-    if route == ROUTE_CLOSED:
-        if m > 2:
-            raise DomainError("closed stancu central tables stop at m = 2")
-        q, qi = ctx.q, ctx.q_int
-        qn = ctx.q_int(n)
-        shift = qn + beta
-        if m == 1:
-            den = qi(n + 2) * shift
-            return Polynomial(
-                ((qn + alpha * qi(n + 2)) / den, q * qn ** 2 / den - ctx.one),
-                ctx.backend,
-            )
-        den = shift ** 2 * qi(n + 2) * qi(n + 3)
-        x2 = (ctx.q_power(4) * qn ** 4 - ctx.q_power(3) * qn ** 3
-              - 2 * q * qn ** 2 * qi(n + 3) * shift
-              + qi(n + 2) * qi(n + 3) * shift ** 2) / den
-        x1 = (q * qi(2) ** 2 * qn ** 3 + 2 * q * alpha * qn ** 2 * qi(n + 3)
-              - (2 * qn + 2 * alpha * qi(n + 2)) * qi(n + 3) * shift) / den
-        x0 = ((ctx.one + q) * qn ** 2 + 2 * alpha * qn * qi(n + 3)) / den
-        return Polynomial((x0, x1, x2), ctx.backend)
-    raise DomainError(f"unknown stancu-central route {route!r}")
+    total = Polynomial.zero(ctx.backend)
+    for j in range(m + 1):
+        sign = ctx.one if (m - j) % 2 == 0 else -ctx.one
+        weight = Polynomial.monomial(m - j, ctx.backend, sign * math.comb(m, j))
+        total = total + weight * stancu_moment(n, j, ctx, alpha, beta)
+    return total
 
 
 # -- quoted forms kept for the transcription audit ---------------------------------
@@ -571,6 +511,60 @@ def stated_central_moment(n: int, m: int, ctx: QContext) -> Polynomial:
     return Polynomial((x0, x1, x2, x3, x4), ctx.backend)
 
 
+def stated_stancu_moment(n: int, m: int, ctx: QContext, alpha: Scalar, beta: Scalar) -> Polynomial:
+    """The two-parameter t^m table exactly as usually quoted, m <= 2; it is correct."""
+    _validate_nm(n, m)
+    check_stancu_parameters(alpha, beta, ctx.backend)
+    if m > 2:
+        raise DomainError("quoted stancu forms cover m <= 2")
+    q, qi = ctx.q, ctx.q_int
+    qn = ctx.q_int(n)
+    shift = qn + beta
+    if m == 0:
+        return Polynomial.one(ctx.backend)
+    if m == 1:
+        den = qi(n + 2) * shift
+        return Polynomial(((qn + alpha * qi(n + 2)) / den, q * qn ** 2 / den), ctx.backend)
+    den = shift ** 2 * qi(n + 2) * qi(n + 3)
+    x2 = ctx.q_power(3) * qn ** 3 * (qn - 1) / den
+    x1 = ((q * qi(2) ** 2 + 2 * alpha * ctx.q_power(4)) * qn ** 3
+          + 2 * alpha * q * qi(3) * qn ** 2) / den
+    x0 = alpha ** 2 / shift ** 2 + (
+        (ctx.one + q + 2 * alpha * ctx.q_power(3)) * qn ** 2 + 2 * alpha * qi(3) * qn
+    ) / den
+    return Polynomial((x0, x1, x2), ctx.backend)
+
+
+def stated_stancu_central_moment(
+    n: int, m: int, ctx: QContext, alpha: Scalar, beta: Scalar
+) -> Polynomial:
+    """The two-parameter (t-x)^m table exactly as usually quoted, m in {1, 2}.
+
+    The m = 2 entry is misprinted (the audit documents this), so it is kept
+    only for the transcription audit.
+    """
+    _validate_nm(n, m)
+    check_stancu_parameters(alpha, beta, ctx.backend)
+    if m not in (1, 2):
+        raise DomainError("quoted stancu central forms cover m in {1, 2}")
+    q, qi = ctx.q, ctx.q_int
+    qn = ctx.q_int(n)
+    shift = qn + beta
+    if m == 1:
+        den = qi(n + 2) * shift
+        return Polynomial(
+            ((qn + alpha * qi(n + 2)) / den, q * qn ** 2 / den - ctx.one), ctx.backend
+        )
+    den = shift ** 2 * qi(n + 2) * qi(n + 3)
+    x2 = (ctx.q_power(4) * qn ** 4 - ctx.q_power(3) * qn ** 3
+          - 2 * q * qn ** 2 * qi(n + 3) * shift
+          + qi(n + 2) * qi(n + 3) * shift ** 2) / den
+    x1 = (q * qi(2) ** 2 * qn ** 3 + 2 * q * alpha * qn ** 2 * qi(n + 3)
+          - (2 * qn + 2 * alpha * qi(n + 2)) * qi(n + 3) * shift) / den
+    x0 = ((ctx.one + q) * qn ** 2 + 2 * alpha * qn * qi(n + 3)) / den
+    return Polynomial((x0, x1, x2), ctx.backend)
+
+
 # -- transcription audit ---------------------------------------------------------------
 
 
@@ -636,7 +630,10 @@ def transcription_audit(
             )
             pairs.append((f"q={ctx.q}", stated, central_factor_expand(m, ctx)))
         entries.append(_audit_compare(f"central-factor-m{m}-transcription", pairs))
-    for key, stancu_fn in (("lemma-l1", stancu_moment), ("lemma-l4", stancu_central_moment)):
+    for key, stated_fn, stancu_fn in (
+        ("lemma-l1", stated_stancu_moment, stancu_moment),
+        ("lemma-l4", stated_stancu_central_moment, stancu_central_moment),
+    ):
         for m in (1, 2):
             pairs = []
             for ctx in ctxs:
@@ -646,7 +643,7 @@ def transcription_audit(
                         pairs.append(
                             (
                                 f"n={n} q={ctx.q} alpha={a} beta={b}",
-                                stancu_fn(n, m, ctx, alpha, beta, route=ROUTE_CLOSED),
+                                stated_fn(n, m, ctx, alpha, beta),
                                 stancu_fn(n, m, ctx, alpha, beta),
                             )
                         )

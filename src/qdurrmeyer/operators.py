@@ -221,20 +221,20 @@ def _apply_fn_pointwise(spec: OperatorSpec, fn, ident: tuple, x: Scalar, tol, ma
 
 def durrmeyer_apply_fn(
     spec: OperatorSpec,
-    f: FunctionSpec,
+    f: FunctionSpec | Polynomial,
     x: Scalar,
     tol=None,
     max_terms: int | None = None,
 ) -> Scalar:
-    """Image of a FunctionSpec at x; polynomial specs take the exact path.
+    """Image of f at x; a Polynomial takes the exact path of `durrmeyer_apply_poly`.
 
     A Stancu spec evaluates a black-box f at ([n]_q t + alpha) / ([n]_q + beta);
     the plain one evaluates f at t itself, since (q_n t + 0)/(q_n + 0) is
     not always t in floats.
     """
     _check_point(x, spec.ctx)
-    if f.is_polynomial:
-        return durrmeyer_apply_poly(spec, Polynomial(f.coeffs, spec.ctx.backend)).eval(x)
+    if isinstance(f, Polynomial):
+        return durrmeyer_apply_poly(spec, f).eval(x)
     fn = f.evaluate
     if spec.alpha is not None:
         qn, alpha = spec.ctx.q_int(spec.n), spec.alpha

@@ -3,6 +3,8 @@
 Moment formulas live here as polynomials in x, and the q-shifted central
 factors (t - x)(t - qx)...(t - q^(m-1) x) as expansions in t whose
 coefficients are x-polynomials.  Everything is immutable value semantics.
+A `Polynomial` is also the polynomial test function f of the operator and
+asymptotics entry points, beside the black-box `qcore.FunctionSpec`.
 
 The public constructor checks every coefficient.  The algebra computes on
 raw `.value`s, starting from the backend's own zero (`Fraction(0)` or `0.0`)
@@ -19,7 +21,7 @@ from itertools import zip_longest
 from typing import Iterable, Sequence
 
 from .errors import BackendMismatchError, DomainError
-from .qcore import Backend, FunctionSpec, QContext, Scalar, horner
+from .qcore import Backend, QContext, Scalar
 
 __all__ = ["Polynomial", "BivariateExpansion"]
 
@@ -35,6 +37,14 @@ def _strip(values: list) -> list:
 
 def _add(a: list, b: list, zero, op=operator.add) -> list:
     return [op(x, y) for x, y in zip_longest(a, b, fillvalue=zero)]
+
+
+def _horner(coeffs: Sequence[Scalar], x: Scalar) -> Scalar:
+    """sum_i coeffs[i] x^i by Horner's rule; zero in x's backend when empty."""
+    acc = Scalar.zero(x.backend)
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
 
 
 def _mul(a: list, b: list, zero) -> list:
@@ -164,7 +174,7 @@ class Polynomial:
     def eval(self, x: Scalar) -> Scalar:
         if x.backend is not self.backend:
             raise BackendMismatchError("evaluation point backend differs")
-        return horner(self.coeffs, x)
+        return _horner(self.coeffs, x)
 
     __call__ = eval
 
@@ -190,10 +200,6 @@ class Polynomial:
         for c in reversed(self.coeffs):
             acc = _add(_mul(acc, inner, zero), _strip([c.value]), zero)
         return self._like(acc)
-
-    def as_function_spec(self) -> FunctionSpec:
-        coeffs = self.coeffs if self.coeffs else (Scalar.zero(self.backend),)
-        return FunctionSpec.polynomial(coeffs)
 
     # -- misc -------------------------------------------------------------------
 
@@ -242,7 +248,7 @@ class BivariateExpansion:
         return len(self.t_coeffs) - 1
 
     def eval(self, t: Scalar, x: Scalar) -> Scalar:
-        return horner([p.eval(x) for p in self.t_coeffs], t)
+        return _horner([p.eval(x) for p in self.t_coeffs], t)
 
     def contract(self, images: Sequence[Polynomial]) -> Polynomial:
         """Substitute x-polynomials for the powers of t: sum_j c_j(x) * images[j]."""

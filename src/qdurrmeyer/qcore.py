@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping
 
 from .errors import (
     BackendMismatchError,
@@ -42,7 +42,6 @@ __all__ = [
     "BUILTIN_NAMES",
     "q_pochhammer_one_minus",
     "q_derivative",
-    "horner",
     "jackson_integral",
     "jackson_series",
     "q_beta",
@@ -383,14 +382,6 @@ def q_pochhammer_one_minus(x: Scalar, m: int, ctx: QContext) -> Scalar:
     return out
 
 
-def horner(coeffs: Sequence[Scalar], x: Scalar) -> Scalar:
-    """sum_i coeffs[i] x^i by Horner's rule; zero in x's backend when empty."""
-    acc = Scalar.zero(x.backend)
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
 def q_beta(a: int, b: int, ctx: QContext) -> Scalar:
     """B_q(a, b) = [a-1]_q! [b-1]_q! / [a+b-1]_q! for integers a, b >= 1."""
     if a < 1 or b < 1:
@@ -438,46 +429,27 @@ BUILTIN_NAMES = tuple(sorted(_BUILTINS))
 
 
 class FunctionSpec:
-    """A test function on [0, 1]: polynomial, named builtin, or tabulated.
+    """A black-box test function on [0, 1]: a named builtin or a tabulation.
 
-    Polynomials carry their coefficients (ascending powers) and evaluate on
-    either backend.  Builtins evaluate through float math and therefore
-    demand the float backend.  Tabulated functions are a finite point ->
-    value mapping with exact lookup; evaluation off the table is an error.
+    Builtins evaluate through float math and therefore demand the float
+    backend.  Tabulated functions are a finite point -> value mapping with
+    exact lookup; evaluation off the table is an error.  Polynomial test
+    functions are `polyalg.Polynomial`, which every entry point that takes a
+    FunctionSpec also accepts; both are called as f(x).
     """
 
-    __slots__ = ("kind", "coeffs", "name", "table")
+    __slots__ = ("kind", "name", "table")
 
-    POLYNOMIAL = "polynomial"
     BUILTIN = "builtin"
     TABULATED = "tabulated"
 
-    def __init__(self, kind, coeffs=None, name=None, table=None):
+    def __init__(self, kind, name=None, table=None):
         object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "table", table)
 
     def __setattr__(self, name, val):
         raise AttributeError("FunctionSpec is immutable")
-
-    @classmethod
-    def polynomial(cls, coeffs: Sequence[Scalar]) -> "FunctionSpec":
-        coeffs = tuple(coeffs)
-        if not coeffs:
-            raise DomainError("polynomial spec needs at least one coefficient")
-        backend = coeffs[0].backend
-        if any(c.backend is not backend for c in coeffs):
-            raise BackendMismatchError("polynomial coefficients mix backends")
-        return cls(cls.POLYNOMIAL, coeffs=coeffs)
-
-    @classmethod
-    def monomial(cls, m: int, backend: Backend = Backend.EXACT) -> "FunctionSpec":
-        """The function t -> t^m."""
-        if m < 0:
-            raise DomainError("monomial degree must be nonnegative")
-        coeffs = [Scalar.zero(backend)] * m + [Scalar.one(backend)]
-        return cls.polynomial(coeffs)
 
     @classmethod
     def builtin(cls, name: str) -> "FunctionSpec":
@@ -491,24 +463,9 @@ class FunctionSpec:
             raise DomainError("tabulated spec needs at least one point")
         return cls(cls.TABULATED, table=dict(table))
 
-    @property
-    def is_polynomial(self) -> bool:
-        return self.kind == self.POLYNOMIAL
-
-    @property
-    def backend(self):
-        """Backend this function evaluates in, or None if set by the argument."""
-        if self.is_polynomial:
-            return self.coeffs[0].backend
-        if self.kind == self.BUILTIN:
-            return Backend.FLOAT
-        return None
-
     def evaluate(self, x: Scalar) -> Scalar:
         if not (0 <= x.value <= 1):
             raise DomainError(f"function domain is [0, 1], got {x}")
-        if self.is_polynomial:
-            return horner(self.coeffs, x)
         if self.kind == self.BUILTIN:
             if x.backend is not Backend.FLOAT:
                 raise BackendMismatchError(
@@ -521,28 +478,21 @@ class FunctionSpec:
         except KeyError:
             raise DomainError(f"tabulated function has no value at {x}") from None
 
+    __call__ = evaluate
+
     def classical_derivative(self, x: Scalar, order: int) -> Scalar:
-        """Ordinary derivative f'(x) or f''(x), used for limit-form targets."""
+        """Ordinary derivative f'(x) or f''(x) of a builtin, used for limit-form targets."""
         if order not in (1, 2):
             raise DomainError("derivative order must be 1 or 2")
-        if self.is_polynomial:
-            coeffs = list(self.coeffs)
-            for _ in range(order):
-                coeffs = [coeffs[m] * m for m in range(1, len(coeffs))] or [
-                    Scalar.zero(x.backend)
-                ]
-            return horner(coeffs, x)
-        if self.kind == self.BUILTIN:
-            if x.backend is not Backend.FLOAT:
-                raise BackendMismatchError("builtin derivatives need the float backend")
-            if self.name == "abs-shift" and x.value == 0.5:
-                raise DomainError("abs-shift is not differentiable at 0.5")
-            return Scalar.floating(_BUILTINS[self.name][order](x.value))
-        raise DomainError("tabulated functions have no derivative rule")
+        if self.kind == self.TABULATED:
+            raise DomainError("tabulated functions have no derivative rule")
+        if x.backend is not Backend.FLOAT:
+            raise BackendMismatchError("builtin derivatives need the float backend")
+        if self.name == "abs-shift" and x.value == 0.5:
+            raise DomainError("abs-shift is not differentiable at 0.5")
+        return Scalar.floating(_BUILTINS[self.name][order](x.value))
 
     def __repr__(self):
-        if self.is_polynomial:
-            return f"FunctionSpec(poly deg {len(self.coeffs) - 1})"
         if self.kind == self.BUILTIN:
             return f"FunctionSpec({self.name})"
         return f"FunctionSpec(tabulated, {len(self.table)} pts)"
@@ -551,23 +501,21 @@ class FunctionSpec:
 # -- q-derivative ---------------------------------------------------------------
 
 
-def q_derivative(f: FunctionSpec, x: Scalar, ctx: QContext, order: int = 1) -> Scalar:
-    """D_q f(x), or the iterated D_q^2 f(x) for order 2.
+def q_derivative(f, x: Scalar, ctx: QContext, order: int = 1) -> Scalar:
+    """D_q f(x), or the iterated D_q^2 f(x) for order 2, for a FunctionSpec or a Polynomial.
 
-    Polynomial specs use the exact coefficient rule, valid at every x
-    including 0.  Other specs use the difference quotient, which is
-    undefined at the origin.
+    A Polynomial takes its own coefficient rule (`Polynomial.q_derivative`),
+    valid at every x including 0.  A FunctionSpec takes the difference
+    quotient, which is undefined at the origin.
     """
     if order not in (1, 2):
         raise DomainError("q-derivative order must be 1 or 2")
     if not (0 <= x.value <= 1):
         raise DomainError("q-derivative is evaluated on [0, 1]")
-    if f.is_polynomial:
-        coeffs = list(f.coeffs)
+    if not isinstance(f, FunctionSpec):
         for _ in range(order):
-            # coefficient rule: D_q(x^m) = [m]_q x^(m-1)
-            coeffs = [ctx.q_int(m) * coeffs[m] for m in range(1, len(coeffs))] or [ctx.zero]
-        return horner(coeffs, x)
+            f = f.q_derivative(ctx)
+        return f.eval(x)
     if x.is_zero:
         raise OriginDerivativeError(
             "q-derivative at x = 0 is defined only through the polynomial rule"
@@ -621,22 +569,22 @@ def jackson_series(
 
 
 def jackson_integral(
-    f: FunctionSpec,
+    f,
     ctx: QContext,
     tol=None,
     max_terms: int | None = None,
 ) -> Scalar:
-    """int_0^1 f d_q t.
+    """int_0^1 f d_q t for a FunctionSpec or a Polynomial.
 
-    Polynomial specs are integrated in closed form, one monomial at a time
+    A Polynomial is integrated in closed form, one monomial at a time
     through int_0^1 t^m d_q t = 1/[m+1]_q, so the result is exact and tol is
-    ignored.  Everything else goes through the truncated Jackson series.
+    ignored.  A FunctionSpec goes through the truncated Jackson series.
     """
-    if f.is_polynomial:
-        if f.backend is not ctx.backend:
-            raise BackendMismatchError("polynomial backend differs from context")
-        total = ctx.zero.value  # a loop, not sum(): later Pythons compensate float sums
-        for m, c in enumerate(f.coeffs):
-            total = total + c.value / ctx.q_int(m + 1).value
-        return Scalar(total, ctx.backend)
-    return jackson_series(f.evaluate, ctx, tol=tol, max_terms=max_terms)
+    if isinstance(f, FunctionSpec):
+        return jackson_series(f.evaluate, ctx, tol=tol, max_terms=max_terms)
+    if f.backend is not ctx.backend:
+        raise BackendMismatchError("polynomial backend differs from context")
+    total = ctx.zero.value  # a loop, not sum(): later Pythons compensate float sums
+    for m, c in enumerate(f.coeffs):
+        total = total + c.value / ctx.q_int(m + 1).value
+    return Scalar(total, ctx.backend)

@@ -30,14 +30,7 @@ from .moments import (
 )
 from .operators import OperatorSpec, bernstein_basis, durrmeyer_apply_poly, kernel_mass
 from .polyalg import Polynomial
-from .qcore import (
-    Backend,
-    FunctionSpec,
-    QContext,
-    Scalar,
-    jackson_integral,
-    q_beta,
-)
+from .qcore import Backend, QContext, Scalar, jackson_integral, q_beta
 
 __all__ = ["VerifyEntry", "build_report", "DEFAULT_Q_VALUES"]
 
@@ -97,7 +90,7 @@ def _check_jackson_beta(ctxs) -> VerifyEntry:
     bad = []
     for ctx in ctxs:
         for m in range(9):
-            j = jackson_integral(FunctionSpec.monomial(m), ctx)
+            j = jackson_integral(Polynomial.monomial(m, ctx.backend), ctx)
             if j != q_beta(m + 1, 1, ctx) or j != ctx.one / ctx.q_int(m + 1):
                 bad.append(f"m={m} q={ctx.q}")
     return _entry("jackson-monomial-beta", bad)
@@ -113,7 +106,7 @@ def _check_beta_series(ctxs) -> VerifyEntry:
         for a in range(1, 10):
             for b in range(1, 21 - a):
                 poly = products[b - 1].shift_up(a - 1)
-                integral = jackson_integral(poly.as_function_spec(), ctx)
+                integral = jackson_integral(poly, ctx)
                 if integral != q_beta(a, b, ctx):
                     bad.append(f"a={a} b={b} q={ctx.q}")
     return _entry("q-beta-series", bad)
@@ -234,7 +227,7 @@ def _check_q_taylor(ctxs) -> VerifyEntry:
     for ctx in ctxs:
         for _ in range(16):
             coeffs = [Scalar.exact(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(3)]
-            f = FunctionSpec.polynomial(coeffs)
+            f = Polynomial(coeffs, ctx.backend)
             x = ctx.scalar(Fraction(rng.randint(1, 15), 16))
             t = ctx.scalar(Fraction(rng.randint(0, 16), 16))
             if t == x or t == ctx.q * x:
@@ -247,7 +240,7 @@ def _check_q_taylor(ctxs) -> VerifyEntry:
 def _check_q_taylor_singular(ctxs) -> VerifyEntry:
     bad = []
     for ctx in ctxs:
-        f = FunctionSpec.monomial(3)
+        f = Polynomial.monomial(3, ctx.backend)
         x = ctx.scalar(Fraction(1, 2))
         try:
             q_taylor_remainder(f, x, ctx.q * x, ctx)

@@ -27,7 +27,6 @@ from fractions import Fraction
 
 from qdurrmeyer import (
     Backend,
-    FunctionSpec,
     OperatorSpec,
     Polynomial,
     QContext,
@@ -162,7 +161,7 @@ def test_criterion_04_stancu_consistency():
 
 
 def _doubling_run(variant, alpha=None, beta=None):
-    f = FunctionSpec.monomial(2)
+    f = Polynomial.monomial(2, Backend.EXACT)
     x = Scalar.exact(Fraction(3, 10))
     seq = QSequence.one_minus_inv_n()
     rows = convergence_table(f, x, seq, DOUBLINGS, alpha, beta)
@@ -251,7 +250,7 @@ def test_criterion_09_q_taylor_exactness():
             continue
         ctx = QContext.exact(q)
         coeffs = [Scalar.exact(rng.randint(-8, 8), rng.randint(1, 8)) for _ in range(3)]
-        f = FunctionSpec.polynomial(coeffs)
+        f = Polynomial(coeffs, Backend.EXACT)
         x = Scalar.exact(rng.randint(1, 31), 32)
         t = Scalar.exact(rng.randint(0, 32), 32)
         if t == x or t == ctx.q * x:
@@ -261,7 +260,7 @@ def test_criterion_09_q_taylor_exactness():
         checked += 1
     # decay of the cubic remainder toward the diagonal, with the
     # deformation sharpening alongside as in the source statement
-    f3 = FunctionSpec.monomial(3)
+    f3 = Polynomial.monomial(3, Backend.EXACT)
     x = Scalar.exact(1, 2)
     values = []
     for i in range(1, 11):
@@ -312,7 +311,7 @@ def test_criterion_10_classical_bridge():
 
 
 def test_companion_plain_protocol_along_admissible_sequence():
-    f = FunctionSpec.monomial(2)
+    f = Polynomial.monomial(2, Backend.EXACT)
     x = Scalar.exact(Fraction(3, 10))
     rows = convergence_table(f, x, QSequence.power_decay(2), DOUBLINGS)
     errs = [float(r.abs_err) for r in rows]
@@ -323,7 +322,7 @@ def test_companion_plain_protocol_along_admissible_sequence():
 
 
 def test_companion_stancu_protocol_along_admissible_sequence():
-    f = FunctionSpec.monomial(2)
+    f = Polynomial.monomial(2, Backend.EXACT)
     x = Scalar.exact(Fraction(3, 10))
     rows = convergence_table(
         f, x, QSequence.power_decay(2), DOUBLINGS, Scalar.exact(1), Scalar.exact(2)

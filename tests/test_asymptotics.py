@@ -10,12 +10,16 @@ from qdurrmeyer import (
     BackendMismatchError,
     DomainError,
     FunctionSpec,
+    OperatorSpec,
     Polynomial,
     QContext,
     Scalar,
     SingularRemainderError,
     convergence_grid,
     convergence_table,
+    durrmeyer_apply_fn,
+    jackson_integral,
+    q_derivative,
     q_taylor_remainder,
     voronovskaja_lhs,
     voronovskaja_rhs,
@@ -30,7 +34,7 @@ from qdurrmeyer.asymptotics import (
     trend_decreasing_last_half,
 )
 
-T2 = FunctionSpec.monomial(2)
+T2 = Polynomial.monomial(2, Backend.EXACT)
 X03 = Scalar.exact(Fraction(3, 10))
 
 
@@ -60,14 +64,42 @@ class TestQSequence:
         assert q_power_limit(QSequence.power_decay(2)) > 0.999
 
 
+class TestZeroPolynomial:
+    """Polynomial.zero has no coefficients; every entry point that takes f gives 0 for it."""
+
+    @pytest.mark.parametrize("backend", list(Backend))
+    def test_every_entry_point_gives_zero(self, backend):
+        zero = Polynomial.zero(backend)
+        ctx = QContext(Scalar(Fraction(1, 2), backend))
+        x, t = Scalar(Fraction(3, 10), backend), Scalar(Fraction(7, 10), backend)
+        alpha, beta = Scalar(1, backend), Scalar(2, backend)
+        values = {
+            "lhs": voronovskaja_lhs(zero, x, 6, ctx.q),
+            "lhs stancu": voronovskaja_lhs(zero, x, 6, ctx.q, alpha, beta),
+            "rhs limit": voronovskaja_rhs(zero, x, alpha, beta),
+            "rhs finite-q": voronovskaja_rhs(zero, x, alpha, beta, ctx),
+            "apply_fn": durrmeyer_apply_fn(OperatorSpec(6, ctx), zero, x),
+            "apply_fn stancu": durrmeyer_apply_fn(OperatorSpec(6, ctx, alpha, beta), zero, x),
+            "jackson": jackson_integral(zero, ctx),
+            "D_q": q_derivative(zero, x, ctx),
+            "D_q^2": q_derivative(zero, x, ctx, order=2),
+            "D_q at 0": q_derivative(zero, ctx.zero, ctx),
+            "theta": q_taylor_remainder(zero, x, t, ctx),
+        }
+        for name, value in values.items():
+            assert value.backend is backend and value.is_zero, name
+        (row,) = convergence_table(zero, x, QSequence.power_decay(2), [8])
+        assert row.error is None and row.abs_err.is_zero
+
+
 class TestVoronovskajaLhs:
     def test_constant_gives_zero(self, ctx_half):
-        one = FunctionSpec.polynomial([Scalar.exact(1)])
+        one = Polynomial([Scalar.exact(1)])
         assert voronovskaja_lhs(one, X03, 4, ctx_half.q).is_zero
 
     def test_first_moment_closed_identity(self):
         # [n](D(t;x) - x) == [n](1 - (1+q^(n+1))x)/[n+2], exactly, any n and q
-        f = FunctionSpec.monomial(1)
+        f = Polynomial.monomial(1, Backend.EXACT)
         for q in (Fraction(1, 2), Fraction(7, 9)):
             for n in (2, 5, 17, 64):
                 ctx = QContext.exact(q)
@@ -125,7 +157,7 @@ class TestVoronovskajaRhs:
             convergence_grid(T2, [X03], QSequence.one_minus_inv_n(), [8], alpha=alpha)
 
     def test_constant_gives_zero(self):
-        one = FunctionSpec.polynomial([Scalar.exact(1)])
+        one = Polynomial([Scalar.exact(1)])
         assert voronovskaja_rhs(one, X03).is_zero
 
     def test_finite_q_form(self, ctx_half):
@@ -158,7 +190,7 @@ class TestConvergenceTable:
         assert row.abs_err == abs(row.lhs - row.rhs_limit)
 
     def test_symmetry_point_has_zero_target(self, ctx_half):
-        f = FunctionSpec.monomial(1)
+        f = Polynomial.monomial(1, Backend.EXACT)
         x = Scalar.exact(1, 2)
         rows = convergence_table(f, x, QSequence.one_minus_inv_n(), [4, 8])
         assert all(r.rhs_limit.is_zero for r in rows)
@@ -347,7 +379,7 @@ class TestQTaylorRemainder:
     @settings(max_examples=80, deadline=None)
     def test_vanishes_for_quadratics(self, c0, c1, c2, xf, tf, q):
         ctx = QContext.exact(q)
-        f = FunctionSpec.polynomial([Scalar.exact(c) for c in (c0, c1, c2)])
+        f = Polynomial([Scalar.exact(c) for c in (c0, c1, c2)], Backend.EXACT)
         x, t = Scalar.exact(xf), Scalar.exact(tf)
         if t == x or t == ctx.q * x:
             return
@@ -355,7 +387,7 @@ class TestQTaylorRemainder:
 
     def test_cubic_has_exact_linear_remainder(self, ctx_half):
         # theta_q for t^3 collapses to t - q^2 x
-        f = FunctionSpec.monomial(3)
+        f = Polynomial.monomial(3, Backend.EXACT)
         x = Scalar.exact(1, 2)
         for tf in (Fraction(3, 4), Fraction(5, 8), Fraction(1, 5)):
             t = Scalar.exact(tf)
@@ -363,19 +395,19 @@ class TestQTaylorRemainder:
             assert got == t - ctx_half.q_power(2) * x
 
     def test_diagonal_is_zero(self, ctx_half):
-        f = FunctionSpec.monomial(3)
+        f = Polynomial.monomial(3, Backend.EXACT)
         x = Scalar.exact(2, 5)
         assert q_taylor_remainder(f, x, x, ctx_half).is_zero
 
     def test_singular_point_is_typed(self, ctx_half):
-        f = FunctionSpec.monomial(3)
+        f = Polynomial.monomial(3, Backend.EXACT)
         x = Scalar.exact(1, 2)
         with pytest.raises(SingularRemainderError):
             q_taylor_remainder(f, x, ctx_half.q * x, ctx_half)
 
     def test_joint_decay_toward_diagonal(self):
         # theta_{q_i}(x; t_i) -> 0 when t_i -> x together with q_i -> 1
-        f = FunctionSpec.monomial(3)
+        f = Polynomial.monomial(3, Backend.EXACT)
         x = Scalar.exact(1, 2)
         values = []
         for i in range(1, 11):
@@ -388,7 +420,7 @@ class TestQTaylorRemainder:
 
     def test_fixed_q_limit_is_nonzero(self, ctx_half):
         # at fixed q the cubic remainder tends to x(1 - q^2), not 0
-        f = FunctionSpec.monomial(3)
+        f = Polynomial.monomial(3, Backend.EXACT)
         x = Scalar.exact(1, 2)
         t = Scalar.exact(Fraction(1, 2) + Fraction(1, 2 ** 20))
         got = q_taylor_remainder(f, x, t, ctx_half)

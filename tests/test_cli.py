@@ -426,6 +426,14 @@ class TestRemainderCommand:
         assert code == 0
         assert len(out.splitlines()) == 1 + 1100
 
+    def test_tol_is_not_an_option(self, capsys):
+        # only the moment tables read a tolerance; a remainder grid is exact or plain float
+        with pytest.raises(SystemExit) as exc:
+            main(["remainder", "--f", "t3", "--x", "1/2", "--q", "1/2", "--steps", "2",
+                  "--tol", "nan"])
+        assert exc.value.code == 2
+        assert "--tol" in capsys.readouterr().err
+
 
 class TestVerifyCommand:
     def test_runs_as_a_module(self):

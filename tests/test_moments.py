@@ -37,6 +37,8 @@ from qdurrmeyer.moments import (
     stated_central_moment,
     scaled_deviation_at,
     stated_raw_moment,
+    stated_stancu_central_moment,
+    stated_stancu_moment,
 )
 from qdurrmeyer.verify import build_report
 
@@ -281,7 +283,7 @@ class TestIntegerClosedTable:
         # every Fraction normalisation calls math.gcd; a row built on integers
         # reduces once, where per-moment Fraction arithmetic made hundreds
         n = 1024
-        f, x = FunctionSpec.monomial(4), Scalar.exact(3, 10)
+        f, x = Polynomial.monomial(4, Backend.EXACT), Scalar.exact(3, 10)
         q = Scalar.exact(n * n - 1, n * n)
         params = (Scalar.exact(1), Scalar.exact(2)) if variant == "stancu" else (None, None)
         calls = []
@@ -344,7 +346,7 @@ def live_contexts():
 
 class TestContextMemo:
     def test_memo_is_freed_with_its_context(self):
-        f, x, q = FunctionSpec.monomial(2), Scalar.exact(3, 10), Scalar.exact(3, 4)
+        f, x, q = Polynomial.monomial(2, Backend.EXACT), Scalar.exact(3, 10), Scalar.exact(3, 4)
         voronovskaja_lhs(f, x, 8, q)
         before = live_contexts()
         for _ in range(50):
@@ -490,10 +492,10 @@ class TestStancuMoments:
     def test_zeroth_is_one(self, ctx_half):
         one = Polynomial.one(Backend.EXACT)
         assert stancu_moment(2, 0, ctx_half, Scalar.exact(1), Scalar.exact(2)) == one
-        assert stancu_moment(2, 0, ctx_half, Scalar.exact(1), Scalar.exact(2), route="closed") == one
+        assert stated_stancu_moment(2, 0, ctx_half, Scalar.exact(1), Scalar.exact(2)) == one
 
     def test_first_moment_closed_example(self, ctx_half):
-        got = stancu_moment(2, 1, ctx_half, Scalar.exact(1), Scalar.exact(2), route="closed")
+        got = stated_stancu_moment(2, 1, ctx_half, Scalar.exact(1), Scalar.exact(2))
         assert got == Polynomial.from_fractions([Fraction(54, 105), Fraction(18, 105)])
 
     def test_closed_matches_recursion(self, ctx_grid):
@@ -502,7 +504,7 @@ class TestStancuMoments:
                 alpha, beta = ctx.scalar(a), ctx.scalar(b)
                 for n in range(1, 6):
                     for m in range(3):
-                        assert stancu_moment(n, m, ctx, alpha, beta, route="closed") == (
+                        assert stated_stancu_moment(n, m, ctx, alpha, beta) == (
                             stancu_moment(n, m, ctx, alpha, beta)
                         )
 
@@ -559,7 +561,7 @@ class TestStancuCentralMoments:
         for ctx in ctx_grid:
             zero = ctx.zero
             for n in range(1, 6):
-                closed = stancu_central_moment(n, 1, ctx, zero, zero, route="closed")
+                closed = stated_stancu_central_moment(n, 1, ctx, zero, zero)
                 plain = central_moment(n, 1, ctx)
                 for i in range(1, 17):
                     x = ctx.scalar(Fraction(i, 17))
@@ -586,15 +588,23 @@ class TestStancuCentralMoments:
             for a, b in ((0, 0), (1, 2), (2, 5)):
                 alpha, beta = ctx.scalar(a), ctx.scalar(b)
                 for n in range(1, 5):
-                    assert stancu_central_moment(n, 1, ctx, alpha, beta, route="closed") == (
+                    assert stated_stancu_central_moment(n, 1, ctx, alpha, beta) == (
                         stancu_central_moment(n, 1, ctx, alpha, beta)
                     )
+
+    def test_quoted_tables_refuse_orders_they_do_not_cover(self, ctx_half):
+        alpha, beta = Scalar.exact(1), Scalar.exact(2)
+        with pytest.raises(DomainError):
+            stated_stancu_moment(2, 3, ctx_half, alpha, beta)
+        for m in (0, 3):
+            with pytest.raises(DomainError):
+                stated_stancu_central_moment(2, m, ctx_half, alpha, beta)
 
     def test_quoted_second_central_is_misprinted(self, ctx_half):
         # quoted m = 2 drops the alpha^2 constant and garbles one q-power;
         # the recombination route is the trusted one
         alpha, beta = Scalar.exact(1), Scalar.exact(2)
-        closed = stancu_central_moment(2, 2, ctx_half, alpha, beta, route="closed")
+        closed = stated_stancu_central_moment(2, 2, ctx_half, alpha, beta)
         recomb = stancu_central_moment(2, 2, ctx_half, alpha, beta)
         assert closed != recomb
 

@@ -235,15 +235,15 @@ class TestDurrmeyerFunction:
     def test_constant_float_path(self):
         ctx = QContext.floating(0.5)
         spec = OperatorSpec(4, ctx)
-        one = FunctionSpec.polynomial([Scalar.floating(1.0)])
+        one = Polynomial([Scalar.floating(1.0)])
         got = durrmeyer_apply_fn(spec, one, Scalar.floating(0.37))
         assert abs(float(got) - 1.0) < 1e-12
 
     def test_polynomial_delegates_to_exact_path(self, ctx_half):
         spec = OperatorSpec(2, ctx_half)
-        got = durrmeyer_apply_fn(spec, FunctionSpec.monomial(1), Scalar.exact(1, 2))
+        got = durrmeyer_apply_fn(spec, Polynomial.monomial(1, Backend.EXACT), Scalar.exact(1, 2))
         assert got == Fraction(11, 15)
-        assert durrmeyer_apply_fn(spec, FunctionSpec.monomial(2), Scalar.exact(1)) == (
+        assert durrmeyer_apply_fn(spec, Polynomial.monomial(2, Backend.EXACT), Scalar.exact(1)) == (
             Fraction(28, 31)
         )
 
@@ -252,7 +252,7 @@ class TestDurrmeyerFunction:
         ctx = QContext.floating(0.5)
         spec = OperatorSpec(3, ctx)
         x = Scalar.floating(0.4)
-        exact = durrmeyer_apply_fn(spec, FunctionSpec.monomial(2, Backend.FLOAT), x)
+        exact = durrmeyer_apply_fn(spec, Polynomial.monomial(2, Backend.FLOAT), x)
 
         def sq(t):
             return t * t

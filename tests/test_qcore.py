@@ -12,6 +12,7 @@ from qdurrmeyer import (
     FunctionSpec,
     JacksonTruncationError,
     OriginDerivativeError,
+    Polynomial,
     QContext,
     Scalar,
     jackson_integral,
@@ -231,14 +232,14 @@ class TestPochhammer:
 
 class TestQDerivative:
     def test_examples(self, ctx_half):
-        t2, t3 = FunctionSpec.monomial(2), FunctionSpec.monomial(3)
+        t2, t3 = Polynomial.monomial(2, Backend.EXACT), Polynomial.monomial(3, Backend.EXACT)
         assert q_derivative(t2, Scalar.exact(1), ctx_half) == Fraction(3, 2)
-        const = FunctionSpec.polynomial([Scalar.exact(5)])
+        const = Polynomial([Scalar.exact(5)])
         assert q_derivative(const, Scalar.exact(2, 3), ctx_half) == 0
         assert q_derivative(t3, Scalar.exact(1, 2), ctx_half) == Fraction(7, 16)
 
     def test_polynomial_rule_works_at_origin(self, ctx_half):
-        f = FunctionSpec.polynomial([Scalar.exact(1), Scalar.exact(2), Scalar.exact(3)])
+        f = Polynomial([Scalar.exact(1), Scalar.exact(2), Scalar.exact(3)])
         assert q_derivative(f, Scalar.exact(0), ctx_half) == 2
 
     def test_builtin_at_origin_rejected(self):
@@ -254,15 +255,16 @@ class TestQDerivative:
         table = {p: p * p for p in nodes}
         f = FunctionSpec.tabulated(table)
         assert q_derivative(f, x, ctx, order=1) == q_derivative(
-            FunctionSpec.monomial(2), x, ctx, order=1
+            Polynomial.monomial(2, Backend.EXACT), x, ctx, order=1
         )
         assert q_derivative(f, x, ctx, order=2) == q_derivative(
-            FunctionSpec.monomial(2), x, ctx, order=2
+            Polynomial.monomial(2, Backend.EXACT), x, ctx, order=2
         )
 
     def test_order_two_of_cubic(self, ctx_half):
         # D_q^2 t^3 = [3][2] x
-        got = q_derivative(FunctionSpec.monomial(3), Scalar.exact(1, 4), ctx_half, order=2)
+        t3 = Polynomial.monomial(3, Backend.EXACT)
+        got = q_derivative(t3, Scalar.exact(1, 4), ctx_half, order=2)
         assert got == Fraction(7, 4) * Fraction(3, 2) * Fraction(1, 4)
 
     def test_slope_toward_classical_derivative(self):
@@ -278,15 +280,15 @@ class TestQDerivative:
 
 class TestJacksonIntegral:
     def test_examples(self, ctx_half):
-        one = FunctionSpec.polynomial([Scalar.exact(1)])
+        one = Polynomial([Scalar.exact(1)])
         assert jackson_integral(one, ctx_half) == 1
-        assert jackson_integral(FunctionSpec.monomial(1), ctx_half) == Fraction(2, 3)
-        assert jackson_integral(FunctionSpec.monomial(2), ctx_half) == Fraction(4, 7)
+        assert jackson_integral(Polynomial.monomial(1, Backend.EXACT), ctx_half) == Fraction(2, 3)
+        assert jackson_integral(Polynomial.monomial(2, Backend.EXACT), ctx_half) == Fraction(4, 7)
 
     def test_monomial_matches_beta(self, ctx_grid):
         for ctx in ctx_grid:
             for m in range(9):
-                value = jackson_integral(FunctionSpec.monomial(m), ctx)
+                value = jackson_integral(Polynomial.monomial(m, Backend.EXACT), ctx)
                 assert value == q_beta(m + 1, 1, ctx)
                 assert value == ctx.one / ctx.q_int(m + 1)
 
@@ -336,15 +338,13 @@ class TestQBeta:
 
     def test_matches_jackson_series_exactly(self, ctx_grid):
         # expand t^(a-1)(1-qt)_q^(b-1) and integrate in closed form, a+b <= 20
-        from qdurrmeyer import Polynomial
-
         for ctx in ctx_grid:
             for a in range(1, 10):
                 for b in range(1, 21 - a):
                     poly = Polynomial.monomial(a - 1, ctx.backend)
                     for s in range(b - 1):
                         poly = poly * Polynomial((ctx.one, -ctx.q_power(s + 1)), ctx.backend)
-                    assert jackson_integral(poly.as_function_spec(), ctx) == q_beta(a, b, ctx)
+                    assert jackson_integral(poly, ctx) == q_beta(a, b, ctx)
 
 
 class TestFunctionSpec:
@@ -356,7 +356,9 @@ class TestFunctionSpec:
             assert max(abs(v) for v in values) < 3.0
 
     def test_domain_enforced(self, ctx_half):
-        f = FunctionSpec.monomial(2)
+        with pytest.raises(DomainError):
+            FunctionSpec.builtin("exp").evaluate(Scalar.floating(1.5))
+        f = FunctionSpec.tabulated({Scalar.exact(3, 2): Scalar.exact(9, 4)})
         with pytest.raises(DomainError):
             f.evaluate(Scalar.exact(3, 2))
 
