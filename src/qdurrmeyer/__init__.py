@@ -24,7 +24,7 @@ from .qcore import (
     q_derivative,
     q_pochhammer_one_minus,
 )
-from .polyalg import BivariateExpansion, Polynomial
+from .polyalg import Polynomial
 from .operators import (
     OperatorSpec,
     bernstein_basis,
@@ -62,7 +62,6 @@ __all__ = [
     "QContext",
     "FunctionSpec",
     "Polynomial",
-    "BivariateExpansion",
     "OperatorSpec",
     "ConvergenceRow",
     "QSequence",

@@ -149,7 +149,7 @@ def _scaled_deviation(
 ) -> Scalar:
     """[n]_q (image of f at x under `spec`, minus f(x))."""
     if isinstance(f, Polynomial):
-        return scaled_deviation_at(spec, f.coeffs, x)
+        return scaled_deviation_at(spec, f, x)
     image = durrmeyer_apply_fn(spec, f, x, tol, max_terms)
     return spec.ctx.q_int(spec.n) * (image - f.evaluate(x))
 

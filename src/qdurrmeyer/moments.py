@@ -18,9 +18,10 @@ Routes for the raw moments D^q_{n,m}(x) = D_{n,q}(t^m; x):
                                    + x(1-x) q^(m+1) D_q(M_m),
               from M_0 = 1 at every n >= 1, with no call to the other routes
 
-Central moments use either the product expansion of
-(t-x)_q^m = prod_{s<m} (t - q^s x) against brute raw moments, or its
-Gauss q-binomial coefficients against the closed raw-moment tables.
+Central moments contract the scalars e_j of (t-x)_q^m = prod_{s<m} (t - q^s x)
+= sum_j e_j t^j x^(m-j) against raw moments in `polyalg.contract_form`: the
+product expansion against brute moments, Gauss's q-binomial coefficients
+against closed ones, and the binomials of (t-x)^m against Stancu ones.
 
 The closed tables are verified coefficientwise against the brute and
 recurrence routes, and against a hand-derived m <= 4 table, in the
@@ -43,7 +44,7 @@ from typing import Sequence
 
 from .errors import BackendMismatchError, DomainError
 from .operators import OperatorSpec, check_stancu_parameters, durrmeyer_apply_poly
-from .polyalg import BivariateExpansion, Polynomial
+from .polyalg import Polynomial, contract_form
 from .qcore import QContext, Scalar
 
 __all__ = [
@@ -198,8 +199,8 @@ def raw_moment_closed(n: int, m: int, ctx: QContext) -> Polynomial:
     return Polynomial(coeffs, ctx.backend)
 
 
-def scaled_deviation_at(spec: OperatorSpec, coeffs: Sequence[Scalar], x: Scalar) -> Scalar:
-    """[n]_q (image of p = sum_m coeffs[m] t^m at x, minus p(x)) under `spec`.
+def scaled_deviation_at(spec: OperatorSpec, f: Polynomial, x: Scalar) -> Scalar:
+    """[n]_q (image of f at x, minus f(x)) under `spec`.
 
     One division at the end, from the closed tables in the integer view of
     `Scalar.as_ratio` (d = v = 1 on float).  A Stancu spec weights each t^m
@@ -208,10 +209,10 @@ def scaled_deviation_at(spec: OperatorSpec, coeffs: Sequence[Scalar], x: Scalar)
     beta = b1/b2 and [n]_q = S_n / g, g = d^(n-1), the Stancu weights share
     (a2 (S_n b2 + b1 g))^M, so only the result is reduced.
     """
-    n, ctx = spec.n, spec.ctx
-    if any(c.backend is not ctx.backend for c in (x, *coeffs)):
-        raise BackendMismatchError("point and coefficients must share the context's backend")
-    deg = max((m for m, c in enumerate(coeffs) if not c.is_zero), default=0)
+    n, ctx, coeffs = spec.n, spec.ctx, f.coeffs
+    if f.backend is not ctx.backend or x.backend is not ctx.backend:
+        raise BackendMismatchError("point and polynomial must share the context's backend")
+    deg = max(f.degree, 0)  # a Polynomial's top coefficient is never zero
     u, v = x.as_ratio()
     s = ctx.q_int_numerator
     sn, g = s(n), ctx.q.as_ratio()[1] ** (n - 1)
@@ -226,7 +227,7 @@ def scaled_deviation_at(spec: OperatorSpec, coeffs: Sequence[Scalar], x: Scalar)
             acc = acc * u + c * v ** (m - j)
         return acc * tails[m] * v ** (deg - m)
 
-    ratios = [c.as_ratio() for c in coeffs[: deg + 1]]
+    ratios = [c.as_ratio() for c in coeffs]
     lcm = math.lcm(*(den for _, den in ratios))
     weights = [num * (lcm // den) for num, den in ratios]
     if spec.alpha is None:
@@ -282,45 +283,44 @@ def raw_moment_recurrence(n: int, m_max: int, ctx: QContext) -> tuple[Polynomial
 
 
 @_memo_on_context
-def central_factor_expand(m: int, ctx: QContext) -> BivariateExpansion:
-    """(t-x)_q^m = prod_{s=0}^{m-1} (t - q^s x), expanded in powers of t."""
+def central_factor_expand(m: int, ctx: QContext) -> tuple[Scalar, ...]:
+    """(e_0, ..., e_m) with (t-x)_q^m = prod_{s<m} (t - q^s x) = sum_j e_j t^j x^(m-j).
+
+    Multiplied out one factor at a time, e'_j = e_{j-1} - q^s e_j, with no
+    q-binomial: the route independent of `central_identity_coefficients`.
+    """
     if m < 0:
         raise DomainError("central factor order must be >= 0")
-    coeffs = [Polynomial.one(ctx.backend)]
-    zero = Polynomial.zero(ctx.backend)
+    coeffs = (ctx.one,)
     for s in range(m):
         qs = ctx.q_power(s)
-        new = []
-        for j in range(len(coeffs) + 1):
-            from_t = coeffs[j - 1] if j >= 1 else zero
-            from_x = coeffs[j].shift_up(1).scale(qs) if j < len(coeffs) else zero
-            new.append(from_t - from_x)
-        coeffs = new
-    return BivariateExpansion(coeffs)
+        shifted = [c * qs for c in coeffs] + [ctx.zero]
+        coeffs = tuple(a - b for a, b in zip((ctx.zero,) + coeffs, shifted))
+    return coeffs
 
 
-def central_identity_coefficients(m: int, ctx: QContext) -> list[Scalar]:
+def central_identity_coefficients(m: int, ctx: QContext) -> tuple[Scalar, ...]:
     """Expansion identity coefficients for (t-x)_q^m, by Gauss's q-binomial theorem.
 
-    Entry j is c_j = (-1)^(m-j) q^((m-j)(m-j-1)/2) [m choose j]_q, with the
-    t^j coefficient equal to c_j x^(m-j), for every m >= 0.  These equal the
+    Entry j is e_j = (-1)^(m-j) q^((m-j)(m-j-1)/2) [m choose j]_q, with the
+    t^j coefficient equal to e_j x^(m-j), for every m >= 0.  These equal the
     product expansion exactly (the test-suite asserts it).  The usually
     quoted m = 3 identity misprints the t coefficient as q [2]_q where the
     product gives q [3]_q; see `stated_central_factor`.
     """
     if m < 0:
         raise DomainError("central factor order must be >= 0")
-    return [
+    return tuple(
         ctx.q_power((m - j) * (m - j - 1) // 2) * ctx.q_binom(m, j) * (-1) ** (m - j)
         for j in range(m + 1)
-    ]
+    )
 
 
-def stated_central_factor(m: int, ctx: QContext) -> list[Scalar]:
+def stated_central_factor(m: int, ctx: QContext) -> tuple[Scalar, ...]:
     """The quoted (t-x)_q^m identity coefficients, verbatim, for the audit."""
     coeffs = central_identity_coefficients(m, ctx)
     if m == 3:
-        coeffs[1] = ctx.q * ctx.q_int(2)
+        coeffs = coeffs[:1] + (ctx.q * ctx.q_int(2),) + coeffs[2:]
     return coeffs
 
 
@@ -328,7 +328,7 @@ def central_moment(n: int, m: int, ctx: QContext, route: str = ROUTE_EXPANSION) 
     """D_{n,q}((t-x)_q^m; x) as a polynomial in x.
 
     The expansion route contracts the product expansion against brute raw
-    moments; the closed route combines Gauss's identity coefficients with
+    moments; the closed route contracts Gauss's identity coefficients against
     the closed raw-moment tables.  The two agree exactly for every m.
     """
     _validate_nm(n, m)
@@ -337,11 +337,8 @@ def central_moment(n: int, m: int, ctx: QContext, route: str = ROUTE_EXPANSION) 
     if route == ROUTE_EXPANSION:
         return _central_expansion(n, m, ctx)
     if route == ROUTE_CLOSED:
-        total = Polynomial.zero(ctx.backend)
-        for j, cj in enumerate(central_identity_coefficients(m, ctx)):
-            weight = Polynomial.monomial(m - j, ctx.backend, cj)
-            total = total + weight * raw_moment_closed(n, j, ctx)
-        return total
+        images = [raw_moment_closed(n, j, ctx) for j in range(m + 1)]
+        return contract_form(central_identity_coefficients(m, ctx), images)
     raise DomainError(f"unknown central-moment route {route!r}")
 
 
@@ -349,7 +346,7 @@ def central_moment(n: int, m: int, ctx: QContext, route: str = ROUTE_EXPANSION) 
 def _central_expansion(n: int, m: int, ctx: QContext) -> Polynomial:
     """The expansion route of `central_moment`, for validated arguments."""
     images = [raw_moment_brute(n, j, ctx) for j in range(m + 1)]
-    return central_factor_expand(m, ctx).contract(images)
+    return contract_form(central_factor_expand(m, ctx), images)
 
 
 # -- Stancu moments ---------------------------------------------------------------
@@ -388,17 +385,14 @@ def stancu_central_moment(
 ) -> Polynomial:
     """Image of the ordinary power (t-x)^m under the Stancu variant.
 
-    Binomial recombination of the Stancu raw moments.  The quoted m <= 2
-    table is `stated_stancu_central_moment`; its m = 2 entry is misprinted.
+    The binomial coefficients of (t-x)^m contracted against the Stancu raw
+    moments.  The quoted m <= 2 table is `stated_stancu_central_moment`; its
+    m = 2 entry is misprinted.
     """
     _validate_nm(n, m)
     check_stancu_parameters(alpha, beta, ctx.backend)
-    total = Polynomial.zero(ctx.backend)
-    for j in range(m + 1):
-        sign = ctx.one if (m - j) % 2 == 0 else -ctx.one
-        weight = Polynomial.monomial(m - j, ctx.backend, sign * math.comb(m, j))
-        total = total + weight * stancu_moment(n, j, ctx, alpha, beta)
-    return total
+    coeffs = [ctx.one * ((-1) ** (m - j) * math.comb(m, j)) for j in range(m + 1)]
+    return contract_form(coeffs, [stancu_moment(n, j, ctx, alpha, beta) for j in range(m + 1)])
 
 
 # -- quoted forms kept for the transcription audit ---------------------------------
@@ -620,15 +614,8 @@ def transcription_audit(
         ]
         entries.append(_audit_compare(f"lemma1.1-m{m}-transcription", pairs))
     for m in (2, 3, 4):
-        pairs = []
-        for ctx in ctxs:
-            stated = BivariateExpansion(
-                [
-                    Polynomial.monomial(m - j, ctx.backend, cj)
-                    for j, cj in enumerate(stated_central_factor(m, ctx))
-                ]
-            )
-            pairs.append((f"q={ctx.q}", stated, central_factor_expand(m, ctx)))
+        pairs = [(f"q={ctx.q}", stated_central_factor(m, ctx), central_factor_expand(m, ctx))
+                 for ctx in ctxs]
         entries.append(_audit_compare(f"central-factor-m{m}-transcription", pairs))
     for key, stated_fn, stancu_fn in (
         ("lemma-l1", stated_stancu_moment, stancu_moment),

@@ -1,10 +1,11 @@
 """Exact dense polynomial algebra over Scalar.
 
-Moment formulas live here as polynomials in x, and the q-shifted central
-factors (t - x)(t - qx)...(t - q^(m-1) x) as expansions in t whose
-coefficients are x-polynomials.  Everything is immutable value semantics.
-A `Polynomial` is also the polynomial test function f of the operator and
-asymptotics entry points, beside the black-box `qcore.FunctionSpec`.
+Moment formulas live here as polynomials in x.  A form sum_j c_j t^j x^(m-j),
+such as the central factor (t - x)(t - qx)...(t - q^(m-1) x), is its scalars
+c_0..c_m, and `contract_form` maps it to an x-polynomial from the images of
+the powers t^j.  Everything is immutable value semantics.  A `Polynomial` is
+also the polynomial test function f of the operator and asymptotics entry
+points, beside the black-box `qcore.FunctionSpec`.
 
 The public constructor checks every coefficient.  The algebra computes on
 raw `.value`s, starting from the backend's own zero (`Fraction(0)` or `0.0`)
@@ -23,7 +24,7 @@ from typing import Iterable, Sequence
 from .errors import BackendMismatchError, DomainError
 from .qcore import Backend, QContext, Scalar
 
-__all__ = ["Polynomial", "BivariateExpansion"]
+__all__ = ["Polynomial", "contract_form"]
 
 _NEG_INF = float("-inf")
 _ZERO = {b: Scalar.zero(b) for b in Backend}  # raw values Fraction(0) and 0.0
@@ -37,14 +38,6 @@ def _strip(values: list) -> list:
 
 def _add(a: list, b: list, zero, op=operator.add) -> list:
     return [op(x, y) for x, y in zip_longest(a, b, fillvalue=zero)]
-
-
-def _horner(coeffs: Sequence[Scalar], x: Scalar) -> Scalar:
-    """sum_i coeffs[i] x^i by Horner's rule; zero in x's backend when empty."""
-    acc = Scalar.zero(x.backend)
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
 
 
 def _mul(a: list, b: list, zero) -> list:
@@ -174,7 +167,10 @@ class Polynomial:
     def eval(self, x: Scalar) -> Scalar:
         if x.backend is not self.backend:
             raise BackendMismatchError("evaluation point backend differs")
-        return _horner(self.coeffs, x)
+        acc = Scalar.zero(x.backend)  # Horner's rule
+        for c in reversed(self.coeffs):
+            acc = acc * x + c
+        return acc
 
     __call__ = eval
 
@@ -222,51 +218,19 @@ class Polynomial:
         return "Polynomial(" + " + ".join(parts) + ")"
 
 
-class BivariateExpansion:
-    """A finite expansion sum_j c_j(x) t^j with x-polynomial coefficients."""
+def contract_form(coeffs: Sequence[Scalar], images: Sequence[Polynomial]) -> Polynomial:
+    """sum_j coeffs[j] x^(m-j) images[j] with m = len(coeffs) - 1.
 
-    __slots__ = ("t_coeffs",)
-
-    def __init__(self, t_coeffs: Sequence[Polynomial]):
-        t_coeffs = tuple(t_coeffs)
-        if not t_coeffs:
-            raise DomainError("expansion needs at least one t-coefficient")
-        backend = t_coeffs[0].backend
-        if any(p.backend is not backend for p in t_coeffs):
-            raise BackendMismatchError("expansion coefficients mix backends")
-        object.__setattr__(self, "t_coeffs", t_coeffs)
-
-    def __setattr__(self, name, val):
-        raise AttributeError("BivariateExpansion is immutable")
-
-    @property
-    def backend(self) -> Backend:
-        return self.t_coeffs[0].backend
-
-    @property
-    def t_degree(self) -> int:
-        return len(self.t_coeffs) - 1
-
-    def eval(self, t: Scalar, x: Scalar) -> Scalar:
-        return _horner([p.eval(x) for p in self.t_coeffs], t)
-
-    def contract(self, images: Sequence[Polynomial]) -> Polynomial:
-        """Substitute x-polynomials for the powers of t: sum_j c_j(x) * images[j]."""
-        if len(images) < len(self.t_coeffs):
-            raise DomainError("need one image polynomial per power of t")
-        zero, acc = _ZERO[self.backend].value, []
-        for cj, img in zip(self.t_coeffs, images):
-            acc = _add(acc, _mul(*cj._operands(img)), zero)
-        return self.t_coeffs[0]._like(acc)
-
-    def __eq__(self, other):
-        if not isinstance(other, BivariateExpansion):
-            return NotImplemented
-        return self.t_coeffs == other.t_coeffs
-
-    def __hash__(self):
-        return hash(self.t_coeffs)
-
-    def __repr__(self):
-        return f"BivariateExpansion(t_degree={self.t_degree})"
-
+    The image of the form sum_j coeffs[j] t^j x^(m-j) under a linear operator
+    in t, given images[j], the image of t^j as a polynomial in x.
+    """
+    if not coeffs or len(images) != len(coeffs):
+        raise DomainError("need one image polynomial per form coefficient")
+    backend, m = images[0].backend, len(coeffs) - 1
+    if any(v.backend is not backend for v in (*coeffs, *images)):
+        raise BackendMismatchError("form coefficients and images mix backends")
+    zero, acc = _ZERO[backend].value, []
+    for j, (c, img) in enumerate(zip(coeffs, images)):
+        if not c.is_zero:
+            acc = _add(acc, [zero] * (m - j) + [c.value * v for v in img._values()], zero)
+    return images[0]._like(acc)

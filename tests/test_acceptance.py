@@ -345,7 +345,8 @@ def test_companion_even_decay_law_in_numbers():
         for s in range(1, 5):
             coeffs = [ctx.scalar(math.comb(2 * s, m) * (-x.value) ** (2 * s - m))
                       for m in range(2 * s + 1)]
-            value = ctx.q_int(n) ** (s - 1) * scaled_deviation_at(spec, coeffs, x)
+            poly = Polynomial(coeffs, ctx.backend)
+            value = ctx.q_int(n) ** (s - 1) * scaled_deviation_at(spec, poly, x)
             limit = math.prod(range(2 * s - 1, 0, -2)) * (2 * x.value * (1 - x.value)) ** s
             ratios[n, s] = float(value.value / limit)
     for s in range(1, 5):

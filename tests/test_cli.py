@@ -462,7 +462,10 @@ class TestVerifyCommand:
 
 
 # stdout sha256 of the README examples (verify writes to stdout here instead
-# of --out), pinned so that refactors keep the output byte for byte
+# of --out), pinned so that refactors keep the output byte for byte; the two
+# verify pins in this file were re-captured when the central-factor-m3 witness
+# began to print both coefficient tuples, the only line of either output that
+# changed
 README_EXAMPLES = [
     ("moments --n 2 --q 1/2", 0,
      "80c110d8f4b8874bfda0f9f996df93ae3e9b9e874b3f6f69261c06a184942698"),
@@ -477,7 +480,7 @@ README_EXAMPLES = [
     ("remainder --f t3 --x 1/2 --q 1/2 --steps 10", 0,
      "ad107cdd7564e21d710210d912e39d3d4126b8a1ade452f4ee1e0a434027e2c9"),
     ("verify --n-max 8", 0,
-     "8676bbead4e60884b1c4714c2ff239b7f425a84b29b762f6921d5efe0e5a8b80"),
+     "94abcaf1a1388e82197b7f88e00905785fb5a368fb3d4632d9b6a026524b316f"),
 ]
 
 
@@ -543,7 +546,7 @@ INTEGER_ROW_EXAMPLES = [
 # first command is the bench's verify run
 FACTORIAL_FREE_EXAMPLES = [
     ("verify --n-max 10", 0,
-     "c19824ebd581e384a06f65095f7266e16b0e9e9c438a61fe9b1d284af9be8dea"),
+     "36ef764d7d463fef713c89baf4963cd60784f17a91bb469ea77febdb1a0ad880"),
     ("moments --n 256 --q 65535/65536", 0,
      "644fcd32f37d858fd83d1188800a219f1ef52460470d6c859276f38d224be4ea"),
 ]

@@ -20,6 +20,7 @@ from qdurrmeyer import (
     Scalar,
     central_factor_expand,
     central_moment,
+    durrmeyer_apply_fn,
     durrmeyer_apply_poly,
     raw_moment_brute,
     raw_moment_closed,
@@ -208,7 +209,8 @@ class TestIntegerClosedTable:
                  for m, c in enumerate(coeffs)),
                 ctx.zero,
             )
-            got = scaled_deviation_at(OperatorSpec(n, ctx, *(params or ())), coeffs, x)
+            got = scaled_deviation_at(OperatorSpec(n, ctx, *(params or ())),
+                                      Polynomial(coeffs, ctx.backend), x)
             assert got == ctx.q_int(n) * (image - p_at_x)
 
     def test_degree_five_row_equals_the_brute_image(self, ctx_half):
@@ -217,16 +219,25 @@ class TestIntegerClosedTable:
         p = Polynomial(coeffs, Backend.EXACT)
         brute = durrmeyer_apply_poly(OperatorSpec(n, ctx_half), p).eval(x)
         want = ctx_half.q_int(n) * (brute - p.eval(x))
-        assert scaled_deviation_at(OperatorSpec(n, ctx_half), coeffs, x) == want
+        assert scaled_deviation_at(OperatorSpec(n, ctx_half), p, x) == want
 
     def test_refuses_what_the_tables_do_not_cover(self, ctx_half):
         with pytest.raises(BackendMismatchError):
-            scaled_deviation_at(OperatorSpec(4, ctx_half), [ctx_half.one], Scalar.floating(0.5))
+            scaled_deviation_at(OperatorSpec(4, ctx_half), Polynomial.one(Backend.EXACT),
+                                Scalar.floating(0.5))
         ctx = QContext.floating(0.5)
         with pytest.raises(BackendMismatchError):
-            scaled_deviation_at(OperatorSpec(4, ctx), [ctx.one], Scalar.exact(1, 2))
+            scaled_deviation_at(OperatorSpec(4, ctx), Polynomial.one(Backend.FLOAT),
+                                Scalar.exact(1, 2))
         with pytest.raises(BackendMismatchError):
-            scaled_deviation_at(OperatorSpec(4, ctx), [Scalar.exact(1)], Scalar.floating(0.5))
+            scaled_deviation_at(OperatorSpec(4, ctx), Polynomial.one(Backend.EXACT),
+                                Scalar.floating(0.5))
+
+    def test_zero_polynomial_of_the_other_backend_is_refused(self):
+        # the zero polynomial has no coefficients, but it still has a backend
+        with pytest.raises(BackendMismatchError):
+            voronovskaja_lhs(Polynomial.zero(Backend.FLOAT), Scalar.exact(3, 10), 6,
+                             Scalar.exact(1, 2))
 
     @pytest.mark.parametrize("n", [8, 64, 1024])
     def test_float_tables_match_exact_ones(self, n):
@@ -265,7 +276,7 @@ class TestIntegerClosedTable:
         for ctx, lift in ((QContext.floating(q), Scalar.floating),
                           (QContext.exact(Fraction(q)), lambda v: Scalar.exact(Fraction(v)))):
             spec = OperatorSpec(n, ctx, *(lift(v) for v in params or ()))
-            rows.append(scaled_deviation_at(spec, [ctx.zero] * m + [ctx.one], lift(x)))
+            rows.append(scaled_deviation_at(spec, Polynomial.monomial(m, ctx.backend), lift(x)))
         got, want = rows
         assert type(got.value) is float and type(want.value) is Fraction
         assert abs(Fraction(got.value) - want.value) <= 1e-12 * abs(want.value)
@@ -276,7 +287,7 @@ class TestIntegerClosedTable:
         n, ctx = 4096, QContext.floating(1 - 4096.0 ** -2)
         spec = OperatorSpec(n, ctx, Scalar.floating(1.0), Scalar.floating(2.0))
         with pytest.raises(DomainError):
-            scaled_deviation_at(spec, [ctx.zero] * 50 + [ctx.one], Scalar.floating(0.3))
+            scaled_deviation_at(spec, Polynomial.monomial(50, ctx.backend), Scalar.floating(0.3))
 
     @pytest.mark.parametrize("variant", ["plain", "stancu"])
     def test_one_row_needs_few_gcd_calls(self, monkeypatch, variant):
@@ -304,7 +315,7 @@ class TestIntegerClosedTable:
             real = module.durrmeyer_apply_poly
             monkeypatch.setattr(module, "durrmeyer_apply_poly",
                                 lambda *a, real=real: calls.append(a) or real(*a))
-        moments.scaled_deviation_at(spec, [ctx.zero] * 6 + [ctx.one], Scalar.exact(3, 10))
+        moments.scaled_deviation_at(spec, Polynomial.monomial(6, ctx.backend), Scalar.exact(3, 10))
         assert calls == []
 
 
@@ -409,21 +420,24 @@ class TestContextMemo:
 
 
 class TestCentralFactor:
+    # central_factor_expand(m, ctx)[j] is e_j, the t^j coefficient of (t-x)_q^m over x^(m-j)
     def test_single_factor(self, ctx_half):
         e = central_factor_expand(1, ctx_half)
-        assert e.t_coeffs[1] == Polynomial.one(Backend.EXACT)
-        assert e.t_coeffs[0] == Polynomial.from_fractions([0, -1])
+        assert len(e) == 2
+        assert e[1] == 1
+        assert e[0] == -1
 
     def test_quadratic_example(self, ctx_half):
         e = central_factor_expand(2, ctx_half)
-        assert e.t_coeffs[2] == Polynomial.one(Backend.EXACT)
-        assert e.t_coeffs[1] == Polynomial.from_fractions([0, Fraction(-3, 2)])
-        assert e.t_coeffs[0] == Polynomial.from_fractions([0, 0, Fraction(1, 2)])
+        assert len(e) == 3
+        assert e[2] == 1
+        assert e[1] == Fraction(-3, 2)
+        assert e[0] == Fraction(1, 2)
 
     def test_quartic_t2_coefficient(self, ctx_half):
         # q([5]_q + q^2) x^2 = (35/32) x^2 at q = 1/2
         e = central_factor_expand(4, ctx_half)
-        assert e.t_coeffs[2] == Polynomial.from_fractions([0, 0, Fraction(35, 32)])
+        assert e[2] == Fraction(35, 32)
 
     @given(q=rational_q, x=st.fractions(min_value=Fraction(1, 16), max_value=1, max_denominator=32))
     @settings(max_examples=40, deadline=None)
@@ -433,14 +447,13 @@ class TestCentralFactor:
         for m in range(1, 6):
             e = central_factor_expand(m, ctx)
             for s in range(m):
-                assert e.eval(ctx.q_power(s) * xs, xs).is_zero
+                t = ctx.q_power(s) * xs
+                assert sum((c * t ** j * xs ** (m - j) for j, c in enumerate(e)), ctx.zero).is_zero
 
     def test_identity_tables_match_product(self, ctx_grid):
         for ctx in ctx_grid:
             for m in range(1, 9):
-                e = central_factor_expand(m, ctx)
-                for j, cj in enumerate(central_identity_coefficients(m, ctx)):
-                    assert e.t_coeffs[j] == Polynomial.monomial(m - j, ctx.backend, cj)
+                assert central_factor_expand(m, ctx) == central_identity_coefficients(m, ctx)
         with pytest.raises(DomainError):
             central_identity_coefficients(-1, ctx_grid[0])
 
@@ -486,6 +499,19 @@ class TestCentralMoments:
         for n in range(1, 5):
             for m in range(1, 5):
                 assert central_moment(n, m, ctx_half).degree <= m
+
+    def test_both_routes_against_the_kernel_sum(self, ctx_grid):
+        # at a fixed x0, (t - x0)_q^m = prod_s (t - q^s x0) is one polynomial in t, whose
+        # kernel sum reads no moment table and makes no contraction
+        for ctx in ctx_grid:
+            for x0 in (Scalar.exact(1, 3), Scalar.exact(5, 8)):
+                factor = Polynomial.one(Backend.EXACT)
+                for m in range(1, 5):
+                    factor = factor * Polynomial((-ctx.q_power(m - 1) * x0, ctx.one))
+                    for n in range(1, 6):
+                        want = durrmeyer_apply_fn(OperatorSpec(n, ctx), factor, x0)
+                        for route in ("expansion", "closed"):
+                            assert central_moment(n, m, ctx, route).eval(x0) == want, (n, m)
 
 
 class TestStancuMoments:
@@ -535,7 +561,7 @@ class TestStancuMoments:
         ctx = QContext.exact(Fraction(n * n - 1, n * n) if isinstance(q, str) else q)
         xs = (Scalar.exact(25, 128), Scalar.exact(2, 3), Scalar.exact(3, 10))
         for m in range(5):
-            t_m = [ctx.zero] * m + [ctx.one]
+            t_m = Polynomial.monomial(m, ctx.backend)
             for x in xs:
                 want = ctx.q_int(n) * (raw_moment_closed(n, m, ctx).eval(x) - x ** m)
                 assert scaled_deviation_at(OperatorSpec(n, ctx), t_m, x) == want
@@ -543,7 +569,7 @@ class TestStancuMoments:
             alpha, beta = ctx.scalar(a), ctx.scalar(b)
             for m in range(5):
                 poly = stancu_moment(n, m, ctx, alpha, beta)
-                t_m = [ctx.zero] * m + [ctx.one]
+                t_m = Polynomial.monomial(m, ctx.backend)
                 for x in xs:
                     dev = scaled_deviation_at(OperatorSpec(n, ctx, alpha, beta), t_m, x)
                     assert type(dev.value) is Fraction
@@ -568,20 +594,17 @@ class TestStancuCentralMoments:
                     assert closed.eval(x) == plain.eval(x)
 
     def test_recombination_against_binomial_oracle(self, ctx_half):
+        # at a fixed x0, (t - x0)^m is one polynomial in t; the Stancu kernel sum of it
+        # reads no moment table and makes no contraction
         alpha, beta = Scalar.exact(1), Scalar.exact(2)
-        for n in range(1, 5):
+        for x0 in (Scalar.exact(1, 3), Scalar.exact(5, 8)):
+            power = Polynomial.one(Backend.EXACT)
             for m in (1, 2, 3):
-                got = stancu_central_moment(n, m, ctx_half, alpha, beta)
-                acc = Polynomial.zero(Backend.EXACT)
-                from math import comb
-
-                for j in range(m + 1):
-                    sign = 1 if (m - j) % 2 == 0 else -1
-                    weight = Polynomial.monomial(
-                        m - j, Backend.EXACT, Scalar.exact(sign * comb(m, j))
-                    )
-                    acc = acc + weight * stancu_moment(n, j, ctx_half, alpha, beta)
-                assert got == acc
+                power = power * Polynomial((-x0, ctx_half.one))
+                for n in range(1, 5):
+                    want = durrmeyer_apply_fn(OperatorSpec(n, ctx_half, alpha, beta), power, x0)
+                    got = stancu_central_moment(n, m, ctx_half, alpha, beta)
+                    assert got.eval(x0) == want, (n, m)
 
     def test_closed_first_matches_recombination(self, ctx_grid):
         for ctx in ctx_grid:
@@ -645,4 +668,11 @@ class TestQuotedForms:
         for e in transcription_audit(ctx_grid):
             if e.status == "mismatch-documented":
                 assert e.witness
+
+    def test_mismatch_witnesses_show_different_texts(self, ctx_grid):
+        # "<label>: stated <text> vs derived <text>"; two equal texts would witness nothing
+        for e in transcription_audit(ctx_grid):
+            if e.status == "mismatch-documented":
+                stated, derived = e.witness.split(": stated ", 1)[1].split(" vs derived ")
+                assert stated != derived, e.key
 

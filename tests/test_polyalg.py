@@ -15,7 +15,8 @@ from qdurrmeyer import (
     Scalar,
     q_derivative,
 )
-from qdurrmeyer.polyalg import BivariateExpansion
+from qdurrmeyer.errors import DomainError
+from qdurrmeyer.polyalg import contract_form
 
 exact_coeff = st.fractions(min_value=-4, max_value=4, max_denominator=12)
 exact_poly = st.lists(exact_coeff, min_size=0, max_size=6).map(Polynomial.from_fractions)
@@ -134,25 +135,6 @@ def test_q_derivative_coefficients_approach_classical():
         assert worst <= 6 * (1 - q)
 
 
-class TestBivariateExpansion:
-    def test_eval_and_contract(self, ctx_half):
-        # t^2 - x t  ==  t(t - x)
-        coeffs = [
-            Polynomial.zero(Backend.EXACT),
-            Polynomial.from_fractions([0, -1]),
-            Polynomial.one(Backend.EXACT),
-        ]
-        e = BivariateExpansion(coeffs)
-        t, x = Scalar.exact(3, 4), Scalar.exact(1, 2)
-        assert e.eval(t, x) == t * (t - x)
-        images = [Polynomial.one(Backend.EXACT)] * 3
-        assert e.contract(images) == Polynomial.from_fractions([1, -1])
-
-    def test_t_degree(self):
-        e = BivariateExpansion([Polynomial.one(Backend.EXACT)])
-        assert e.t_degree == 0
-
-
 # -- raw-value algebra against a reference that works one Scalar at a time ----------
 
 
@@ -180,10 +162,10 @@ def ref_compose_affine(p, a, b):
     return acc
 
 
-def ref_contract(expansion, images):
-    acc = Polynomial.zero(expansion.backend)
-    for cj, img in zip(expansion.t_coeffs, images):
-        acc = ref_add(acc, ref_mul(cj, img))
+def ref_contract_form(coeffs, images):
+    m, acc = len(coeffs) - 1, Polynomial.zero(images[0].backend)
+    for j, (c, img) in enumerate(zip(coeffs, images)):
+        acc = ref_add(acc, ref_mul(Polynomial.monomial(m - j, img.backend, c), img))
     return acc
 
 
@@ -242,13 +224,28 @@ def test_raw_value_algebra_matches_scalar_reference(backend):
         k = rng.randint(0, 3)
         zeros = [Scalar.zero(backend)] * k
         cases.append((a.shift_up(k), a if a.is_zero else Polynomial(zeros + list(a.coeffs), backend)))
-        expansion = BivariateExpansion([_random_poly(rng, backend) for _ in range(rng.randint(1, 4))])
-        images = [_random_poly(rng, backend) for _ in range(len(expansion.t_coeffs))]
-        cases.append((expansion.contract(images), ref_contract(expansion, images)))
+        form = [_random_value(rng, backend) for _ in range(rng.randint(1, 5))]
+        images = [_random_poly(rng, backend) for _ in form]
+        cases.append((contract_form(form, images), ref_contract_form(form, images)))
         for got, want in cases:
             _same(got, want)
         cancellations += (a - top).degree < a.degree
     assert cancellations > 100
+
+
+def test_contract_form_examples_and_refusals():
+    # t^2 - x t, that is t (t - x), against the images 1, 1/2 + x, x^2 of 1, t, t^2
+    form = (Scalar.exact(0), Scalar.exact(-1), Scalar.exact(1))
+    images = [Polynomial.from_fractions(v) for v in ([1], [Fraction(1, 2), 1], [0, 0, 1])]
+    assert contract_form(form, images) == Polynomial.from_fractions([0, Fraction(-1, 2)])
+    with pytest.raises(DomainError):
+        contract_form(form, images[:2])
+    with pytest.raises(DomainError):
+        contract_form((), [])
+    with pytest.raises(BackendMismatchError):
+        contract_form((Scalar.floating(1.0),), images[:1])
+    with pytest.raises(BackendMismatchError):
+        contract_form(form[:2], [images[0], Polynomial((Scalar.floating(1.0),))])
 
 
 def test_scale_lifts_its_factor_like_a_scalar_operand():
