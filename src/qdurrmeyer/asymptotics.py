@@ -124,19 +124,19 @@ class ConvergenceRow:
         self.abs_err = None if missing else abs(self.lhs - self.rhs_limit)
 
 
-def _err_below(a: Scalar, b: Scalar) -> bool:
-    """a < b for two abs_err values, decided on correctly rounded floats.
+def _err_not_above(a: Scalar, b: Scalar) -> bool:
+    """a <= b for two abs_err values (the error did not grow), decided on correctly rounded floats.
 
     Rounding is monotone, so floats that differ order the values as the exact
     compare would, without cross-multiplying two large fractions; a float tie
-    or a value past the float range falls back to the exact `<`.  On the float
-    backend this is the bare `<`, NaN and inf included.
+    or a value past the float range falls back to the exact `<=`.  On the float
+    backend this is the bare `<=`, NaN and inf included.
     """
     try:
         fa, fb = float(a), float(b)
     except OverflowError:
-        return a < b
-    return fa < fb if fa != fb else a < b
+        return a <= b
+    return fa < fb if fa != fb else a <= b
 
 
 def _validate_interior(x: Scalar):
@@ -220,8 +220,8 @@ def convergence_grid(
 
     Each n builds one QContext for every x, so the memoized black-box kernel
     integrals and moment tables are shared across the grid.  Row failures
-    are recorded on their row; rows carry err_decreased against the row
-    before them for the same x.
+    are recorded on their row; err_decreased says abs_err did not grow from
+    the row before for the same x (a tie counts as no growth).
     """
     if not xs:
         raise DomainError("convergence_grid needs at least one x")
@@ -244,7 +244,7 @@ def convergence_grid(
                 continue
             row = ConvergenceRow(n, q_n, lhs, rhs[i])
             if prev_err[i] is not None:
-                row.err_decreased = _err_below(row.abs_err, prev_err[i])
+                row.err_decreased = _err_not_above(row.abs_err, prev_err[i])
             prev_err[i] = row.abs_err
             tables[i].append(row)
     return tables
@@ -269,7 +269,7 @@ def trend_decreasing_last_half(rows: Sequence[ConvergenceRow]) -> bool:
     usable = [r for r in rows if r.abs_err is not None]
     tail = usable[len(usable) // 2 :]
     errs = [r.abs_err for r in tail]
-    return all(_err_below(b, a) or b == a for a, b in zip(errs, errs[1:]))
+    return all(_err_not_above(b, a) for a, b in zip(errs, errs[1:]))
 
 
 # -- scaled central-moment limits ------------------------------------------------

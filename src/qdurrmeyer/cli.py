@@ -6,7 +6,8 @@ the exact backend: rationals serialize as `str(Fraction)` does (the "p/q"
 form; integers above `_DECIMAL_BITS` bits take a faster route to the same
 text), floats as shortest round-trip decimals, rows in fixed order.
 Every cell is reproducible by calling the module operation the command
-wraps; the CLI itself does no arithmetic.
+wraps (a moment table prints a route set of `moments`, the Stancu one with
+the quoted m <= 2 table added); the CLI itself does no arithmetic.
 """
 
 from __future__ import annotations
@@ -28,15 +29,7 @@ from .asymptotics import (
     q_taylor_remainder,
 )
 from .errors import DomainError, SingularRemainderError
-from .moments import (
-    central_moment,
-    raw_moment_brute,
-    raw_moment_closed,
-    raw_moment_recurrence,
-    stancu_moment,
-    stated_stancu_moment,
-)
-from .operators import OperatorSpec, durrmeyer_apply_poly
+from .moments import central_routes, raw_routes, stancu_routes, stated_stancu_moment
 from .polyalg import Polynomial
 from .qcore import BUILTIN_NAMES, Backend, FunctionSpec, QContext, Scalar
 from .verify import build_report
@@ -251,44 +244,25 @@ def _emit(cfg: RunConfig, header: Sequence[str], rows: list[list[str]], verdict:
 # -- commands -----------------------------------------------------------------
 
 
-def _raw_routes(n: int, m: int, ctx: QContext, opts: dict):
-    rec = raw_moment_recurrence(n, opts["m_max"], ctx)[m]
-    brute = raw_moment_brute(n, m, ctx)
-    closed = raw_moment_closed(n, m, ctx)
-    return brute, [("closed", closed), ("brute", brute), ("recurrence", rec)]
-
-
-def _central_routes(n: int, m: int, ctx: QContext, opts: dict):
-    expansion = central_moment(n, m, ctx, "expansion")
-    return expansion, [("closed", central_moment(n, m, ctx, "closed")), ("expansion", expansion)]
-
-
-def _stancu_routes(n: int, m: int, ctx: QContext, opts: dict):
-    alpha, beta = opts["alpha"], opts["beta"]
-    recursion = stancu_moment(n, m, ctx, alpha, beta)
-    routes = [("recursion", recursion)]
-    if m <= 2:
-        routes.append(("closed", stated_stancu_moment(n, m, ctx, alpha, beta)))
-    spec = OperatorSpec(n, ctx, alpha, beta)
-    routes.append(("direct", durrmeyer_apply_poly(spec, Polynomial.monomial(m, ctx.backend))))
-    return recursion, routes
-
-
-# command -> (help, first m, builder of (reference value, [(route, value), ...]) at m)
+# command -> (help, first m, route set of `moments`, the options it takes after (n, m, ctx))
 _MOMENT_TABLES = {
-    "moments": ("raw moments via all routes", 0, _raw_routes),
-    "central-moments": ("central moments via both routes", 1, _central_routes),
-    "stancu-moments": ("Stancu moments: recursion, closed, direct", 0, _stancu_routes),
+    "moments": ("raw moments via all routes", 0, raw_routes, ("m_max",)),
+    "central-moments": ("central moments via both routes", 1, central_routes, ()),
+    "stancu-moments": ("Stancu moments: recursion, closed, direct", 0,
+                       stancu_routes, ("alpha", "beta")),
 }
 
 
 def _cmd_moment_table(cfg: RunConfig) -> int:
-    """One row per (m, route); a route agrees when it matches the reference."""
-    _, first_m, routes_at = _MOMENT_TABLES[cfg.command]
+    """One row per (m, route); a route agrees when it matches the set's reference."""
+    _, first_m, route_set, keys = _MOMENT_TABLES[cfg.command]
     opts = cfg.options
+    n, ctx, args = opts["n"], opts["ctx"], [opts[k] for k in keys]
     rows, all_agree = [], True
     for m in range(first_m, opts["m_max"] + 1):
-        reference, routes = routes_at(opts["n"], m, opts["ctx"], opts)
+        reference, routes = route_set(n, m, ctx, *args)
+        if cfg.command == "stancu-moments" and m <= 2:  # the quoted table, after recursion
+            routes.insert(1, ("closed", stated_stancu_moment(n, m, ctx, *args)))
         agree = all(
             _polys_agree(value, reference, cfg.backend, opts["tol"])
             for _, value in routes
@@ -413,7 +387,7 @@ def _build_parser() -> argparse.ArgumentParser:
         if q_flag:
             p.add_argument("--q", default="1/2", help="deformation parameter, e.g. 1/2 or 0.5")
 
-    for name, (help_text, _, _) in _MOMENT_TABLES.items():
+    for name, (help_text, *_) in _MOMENT_TABLES.items():
         p = sub.add_parser(name, help=help_text)
         common(p)
         p.add_argument(

@@ -23,6 +23,10 @@ Central moments contract the scalars e_j of (t-x)_q^m = prod_{s<m} (t - q^s x)
 product expansion against brute moments, Gauss's q-binomial coefficients
 against closed ones, and the binomials of (t-x)^m against Stancu ones.
 
+`raw_routes`, `central_routes` and `stancu_routes` are each moment's one route
+set: its routes in print order and the reference they must equal.  The CLI's
+moment tables print them and `verify` checks them.
+
 The closed tables are verified coefficientwise against the brute and
 recurrence routes, and against a hand-derived m <= 4 table, in the
 test-suite.  The
@@ -58,6 +62,9 @@ __all__ = [
     "stancu_moment",
     "scaled_deviation_at",
     "stancu_central_moment",
+    "raw_routes",
+    "central_routes",
+    "stancu_routes",
     "stated_raw_moment",
     "stated_central_moment",
     "stated_stancu_moment",
@@ -393,6 +400,31 @@ def stancu_central_moment(
     check_stancu_parameters(alpha, beta, ctx.backend)
     coeffs = [ctx.one * ((-1) ** (m - j) * math.comb(m, j)) for j in range(m + 1)]
     return contract_form(coeffs, [stancu_moment(n, j, ctx, alpha, beta) for j in range(m + 1)])
+
+
+# -- route sets: (reference, [(route, value), ...]) -------------------------------
+
+
+def raw_routes(n: int, m: int, ctx: QContext, m_max: int):
+    """Closed, brute, recurrence (one run to m_max >= m per context); brute is the reference."""
+    brute = raw_moment_brute(n, m, ctx)
+    return brute, [("closed", raw_moment_closed(n, m, ctx)), ("brute", brute),
+                   ("recurrence", raw_moment_recurrence(n, m_max, ctx)[m])]
+
+
+def central_routes(n: int, m: int, ctx: QContext):
+    """Closed, expansion; expansion is the reference."""
+    expansion = central_moment(n, m, ctx, ROUTE_EXPANSION)
+    return expansion, [(ROUTE_CLOSED, central_moment(n, m, ctx, ROUTE_CLOSED)),
+                       (ROUTE_EXPANSION, expansion)]
+
+
+def stancu_routes(n: int, m: int, ctx: QContext, alpha: Scalar, beta: Scalar):
+    """Recursion, direct kernel sum; recursion is the reference."""
+    recursion = stancu_moment(n, m, ctx, alpha, beta)
+    spec = OperatorSpec(n, ctx, alpha, beta)
+    direct = durrmeyer_apply_poly(spec, Polynomial.monomial(m, ctx.backend))
+    return recursion, [("recursion", recursion), ("direct", direct)]
 
 
 # -- quoted forms kept for the transcription audit ---------------------------------

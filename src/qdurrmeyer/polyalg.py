@@ -99,12 +99,10 @@ class Polynomial:
         return cls((Scalar.one(backend),))
 
     @classmethod
-    def monomial(cls, m: int, backend: Backend, coeff: Scalar | None = None) -> "Polynomial":
+    def monomial(cls, m: int, backend: Backend) -> "Polynomial":
         if m < 0:
             raise DomainError("monomial degree must be nonnegative")
-        if coeff is None:
-            coeff = Scalar.one(backend)
-        return cls([Scalar.zero(backend)] * m + [coeff], backend)
+        return cls([Scalar.zero(backend)] * m + [Scalar.one(backend)], backend)
 
     @classmethod
     def from_fractions(cls, values: Iterable) -> "Polynomial":

@@ -3,11 +3,12 @@
 Mandatory checks exercise identities the library must satisfy exactly:
 q-integer recursions (exact `q_int` is a closed form, so [n+1]_q = [n]_q
 + q^n checks it against the additive definition), Pascal rules,
-Jackson-vs-Beta agreement, partition of unity, kernel mass, route agreement
-for raw/central/Stancu moments, and the q-Taylor remainder contracts.  The
-transcription audit entries are informational: they compare the usually
-quoted closed forms against the derivation-based routes and report each as
-match or mismatch-documented without affecting the verdict.
+Jackson-vs-Beta agreement, partition of unity, kernel mass, agreement of each
+route set of `moments` (raw, central, Stancu) with its reference, and the
+q-Taylor remainder contracts.  The transcription audit entries are
+informational: they compare the usually quoted closed forms against the
+derivation-based routes and report each as match or mismatch-documented
+without affecting the verdict.
 """
 
 from __future__ import annotations
@@ -22,10 +23,11 @@ from .asymptotics import q_taylor_remainder
 from .moments import (
     central_factor_expand,
     central_moment,
+    central_routes,
     raw_moment_brute,
-    raw_moment_closed,
-    raw_moment_recurrence,
+    raw_routes,
     stancu_moment,
+    stancu_routes,
     transcription_audit,
 )
 from .operators import OperatorSpec, bernstein_basis, durrmeyer_apply_poly, kernel_mass
@@ -150,26 +152,11 @@ def _check_normalization(ctxs, n_max) -> VerifyEntry:
     return _entry("normalization", bad)
 
 
-def _check_raw_routes(ctxs, n_max) -> VerifyEntry:
-    bad = []
-    for ctx in ctxs:
-        for n in range(1, n_max + 1):
-            rec = raw_moment_recurrence(n, 4, ctx)
-            for m in range(5):
-                brute = raw_moment_brute(n, m, ctx)
-                if raw_moment_closed(n, m, ctx) != brute or rec[m] != brute:
-                    bad.append(f"n={n} m={m} q={ctx.q}")
-    return _entry("raw-route-agreement", bad)
-
-
-def _check_central_routes(ctxs, n_max) -> VerifyEntry:
-    bad = []
-    for ctx in ctxs:
-        for n in range(1, n_max + 1):
-            for m in range(1, 5):
-                if central_moment(n, m, ctx, "closed") != central_moment(n, m, ctx, "expansion"):
-                    bad.append(f"n={n} m={m} q={ctx.q}")
-    return _entry("central-route-agreement", bad)
+def _check_routes(name, cases) -> VerifyEntry:
+    """Fail a (label, (reference, routes)) case when any route differs from its reference."""
+    bad = [label for label, (reference, routes) in cases
+           if any(value != reference for _, value in routes)]
+    return _entry(name, bad)
 
 
 def _check_central_roots(ctxs) -> VerifyEntry:
@@ -196,20 +183,6 @@ def _check_first_central_identity(ctxs, n_max) -> VerifyEntry:
             if central_moment(n, 1, ctx, "expansion") != expected:
                 bad.append(f"n={n} q={ctx.q}")
     return _entry("central-first-identity", bad)
-
-
-def _check_stancu_recursion(ctxs) -> VerifyEntry:
-    bad = []
-    for ctx in ctxs:
-        for a, b in ((0, 0), (1, 2), (2, 5)):
-            alpha, beta = ctx.scalar(a), ctx.scalar(b)
-            for n in range(1, 5):
-                spec = OperatorSpec(n, ctx, alpha, beta)
-                for m in range(4):
-                    direct = durrmeyer_apply_poly(spec, Polynomial.monomial(m, ctx.backend))
-                    if direct != stancu_moment(n, m, ctx, alpha, beta):
-                        bad.append(f"n={n} m={m} q={ctx.q} a={a} b={b}")
-    return _entry("stancu-recursion-vs-direct", bad)
 
 
 def _check_stancu_collapse(ctxs) -> VerifyEntry:
@@ -267,11 +240,19 @@ def build_report(n_max: int = 8, q_values: Sequence[Fraction] = DEFAULT_Q_VALUES
         _check_partition_of_unity(ctxs, min(n_max, 12)),
         _check_kernel_mass(ctxs, n_max),
         _check_normalization(ctxs, min(n_max + 4, 12)),
-        _check_raw_routes(ctxs, n_max),
-        _check_central_routes(ctxs, min(n_max, 6)),
+        _check_routes("raw-route-agreement", (
+            (f"n={n} m={m} q={ctx.q}", raw_routes(n, m, ctx, 4))
+            for ctx in ctxs for n in range(1, n_max + 1) for m in range(5))),
+        _check_routes("central-route-agreement", (
+            (f"n={n} m={m} q={ctx.q}", central_routes(n, m, ctx))
+            for ctx in ctxs for n in range(1, min(n_max, 6) + 1) for m in range(1, 5))),
         _check_central_roots(ctxs),
         _check_first_central_identity(ctxs, n_max),
-        _check_stancu_recursion(ctxs),
+        _check_routes("stancu-recursion-vs-direct", (
+            (f"n={n} m={m} q={ctx.q} a={a} b={b}",
+             stancu_routes(n, m, ctx, ctx.scalar(a), ctx.scalar(b)))
+            for ctx in ctxs for a, b in ((0, 0), (1, 2), (2, 5))
+            for n in range(1, 5) for m in range(4))),
         _check_stancu_collapse(ctxs),
         _check_q_taylor(ctxs),
         _check_q_taylor_singular(ctxs),

@@ -112,7 +112,7 @@ def test_criterion_03_central_moment_audit():
             for m in range(1, 5):
                 combo = Polynomial.zero(Backend.EXACT)
                 for j, cj in enumerate(central_identity_coefficients(m, ctx)):
-                    weight = Polynomial.monomial(m - j, Backend.EXACT, cj)
+                    weight = Polynomial.monomial(m - j, Backend.EXACT).scale(cj)
                     combo = combo + weight * raw_moment_brute(n, j, ctx)
                 if central_moment(n, m, ctx, "expansion") != combo:
                     ok = False

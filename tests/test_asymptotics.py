@@ -27,7 +27,7 @@ from qdurrmeyer import (
 from qdurrmeyer.asymptotics import (
     ConvergenceRow,
     QSequence,
-    _err_below,
+    _err_not_above,
     decay_slope,
     q_power_limit,
     scaled_central_moment_at,
@@ -258,22 +258,23 @@ class TestErrorOrder:
     def test_float_tie_is_ordered_exactly(self):
         lo, hi = self.NEAR
         assert float(lo) == float(hi)
-        assert _err_below(lo, hi)
-        assert not _err_below(hi, lo)
-        assert not _err_below(lo, lo)
+        assert _err_not_above(lo, hi)
+        assert not _err_not_above(hi, lo)
+        assert _err_not_above(lo, lo)
 
     def test_past_float_range_falls_back(self):
         huge, larger = Scalar.exact(10 ** 400), Scalar.exact(10 ** 400 + 1)
         with pytest.raises(OverflowError):
             float(huge)
-        assert _err_below(huge, larger) and not _err_below(larger, huge)
-        assert _err_below(Scalar.exact(1), huge) and not _err_below(huge, Scalar.exact(1))
+        assert _err_not_above(huge, larger) and not _err_not_above(larger, huge)
+        assert _err_not_above(huge, huge)
+        assert _err_not_above(Scalar.exact(1), huge) and not _err_not_above(huge, Scalar.exact(1))
 
-    def test_float_backend_is_the_bare_less_than(self):
+    def test_float_backend_is_the_bare_less_or_equal(self):
         values = [math.nan, math.inf, -math.inf, 0.0, 1.0, 5e-324]
         for a in values:
             for b in values:
-                assert _err_below(Scalar.floating(a), Scalar.floating(b)) == (a < b), (a, b)
+                assert _err_not_above(Scalar.floating(a), Scalar.floating(b)) == (a <= b), (a, b)
 
     def test_trend_reads_a_float_tie_exactly(self):
         q = Scalar.exact(1, 2)

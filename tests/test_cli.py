@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from qdurrmeyer import Scalar
+from qdurrmeyer import Polynomial, Scalar, build_report, moments
 from qdurrmeyer.cli import (
     _DECIMAL_BITS,
     _DECIMAL_LEAF_BITS,
@@ -337,6 +337,12 @@ class TestVoronovskajaCommand:
         # x = 1/2 with f = t is the symmetry point: target is exactly 0
         assert all(row["rhs_limit"] == "0" for row in payload["rows"])
 
+    def test_tied_errors_read_dec(self, capsys):
+        # f = 1 is reproduced exactly, so both errors are 0: a tie is no growth
+        code, out, _ = run(capsys, "voronovskaja", "--f", "one", "--x", "0.3", "--n-list", "4,8")
+        assert code == 0
+        assert out.splitlines()[1:] == ["4,3/4,3/10,0,0,0,", "8,7/8,3/10,0,0,0,dec"]
+
 
 class TestIntText:
     """Large ints print by divide and conquer; the text must be str()'s."""
@@ -459,6 +465,34 @@ class TestVerifyCommand:
         assert not rows["lemma1.1-m4-transcription"]["mandatory"]
         mandatory = [r for r in payload["rows"] if r["mandatory"]]
         assert mandatory and all(r["status"] == "pass" for r in mandatory)
+
+
+class TestSharedRouteSets:
+    """`verify` and the moment tables both read the route sets of `moments`."""
+
+    @pytest.fixture
+    def perturbed_closed(self, monkeypatch):
+        original = moments.raw_moment_closed
+
+        def perturbed(n, m, ctx):
+            value = original(n, m, ctx)
+            return value + Polynomial.one(ctx.backend) if (n, m) == (3, 2) else value
+
+        monkeypatch.setattr(moments, "raw_moment_closed", perturbed)
+
+    def test_verify_sees_a_perturbed_route(self, perturbed_closed):
+        report = build_report(n_max=3)
+        rows = {r["name"]: r for r in report["rows"]}
+        assert rows["raw-route-agreement"]["status"] == "fail"
+        assert rows["raw-route-agreement"]["witness"] == "n=3 m=2 q=1/4"
+        assert report["verdict"] == "fail"
+
+    def test_moment_table_sees_a_perturbed_route(self, capsys, perturbed_closed):
+        code, out, _ = run(capsys, "moments", "--n", "3", "--q", "1/4")
+        assert code == 4
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        assert [row[1] for row in rows if row[0] == "2"] == ["closed", "brute", "recurrence"]
+        assert all((row[-1] == "false") == (row[0] == "2") for row in rows)
 
 
 # stdout sha256 of the README examples (verify writes to stdout here instead

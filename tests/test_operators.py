@@ -172,7 +172,7 @@ class TestDurrmeyerPolynomial:
                 ctx.zero,
             )
             w = ctx.q_int(n + 1) * ctx.q_binom(n, k) * inner
-            basis = Polynomial.monomial(k, Backend.EXACT, ctx.q_binom(n, k))
+            basis = Polynomial.monomial(k, Backend.EXACT).scale(ctx.q_binom(n, k))
             for s in range(n - k):
                 basis = basis * Polynomial((ctx.one, -ctx.q_power(s)), Backend.EXACT)
             out = out + basis.scale(w)

@@ -163,9 +163,10 @@ def ref_compose_affine(p, a, b):
 
 
 def ref_contract_form(coeffs, images):
-    m, acc = len(coeffs) - 1, Polynomial.zero(images[0].backend)
+    m, b = len(coeffs) - 1, images[0].backend
+    acc = Polynomial.zero(b)
     for j, (c, img) in enumerate(zip(coeffs, images)):
-        acc = ref_add(acc, ref_mul(Polynomial.monomial(m - j, img.backend, c), img))
+        acc = ref_add(acc, ref_mul(Polynomial([Scalar.zero(b)] * (m - j) + [c], b), img))
     return acc
 
 
