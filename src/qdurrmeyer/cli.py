@@ -217,8 +217,11 @@ class RunConfig:
 
 def _write(cfg: RunConfig, text: str) -> None:
     if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(cfg.out, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write {cfg.out}: {exc.strerror}") from None
     else:
         sys.stdout.write(text)
 
@@ -347,6 +350,9 @@ def _cmd_remainder(cfg: RunConfig) -> int:
     for i in range(1, steps + 1):
         # span * 2^-i rounds once, like span / 2^i, where a float 2^i would overflow
         t = x + span * ctx.scalar(Fraction(1, 2 ** i))
+        if t == x:  # the float step fell below x's spacing: theta(x; x) = 0 is no approach value
+            rows.append([str(i), _scalar_cell(t), "", "t-rounds-to-x"])
+            continue
         try:
             theta = q_taylor_remainder(f, x, t, ctx)
             rows.append([str(i), _scalar_cell(t), _scalar_cell(theta), ""])

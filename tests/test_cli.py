@@ -432,6 +432,16 @@ class TestRemainderCommand:
         assert code == 0
         assert len(out.splitlines()) == 1 + 1100
 
+    def test_float_t_that_rounds_onto_x_is_noted(self, capsys):
+        # from step 53, x + (1 - x)/2^i rounds to x = 0.5 in binary64, where
+        # theta(x; x) = 0 by definition; the rows before read t - q^2 x = 0.375
+        code, out, _ = run(capsys, "remainder", "--f", "t3", "--x", "1/2", "--q", "1/2",
+                           "--backend", "float", "--steps", "60")
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[52] == "52,0.5000000000000001,0.3749999999999994,"
+        assert lines[53:] == [f"{i},0.5,,t-rounds-to-x" for i in range(53, 61)]
+
     def test_tol_is_not_an_option(self, capsys):
         # only the moment tables read a tolerance; a remainder grid is exact or plain float
         with pytest.raises(SystemExit) as exc:
@@ -439,6 +449,33 @@ class TestRemainderCommand:
                   "--tol", "nan"])
         assert exc.value.code == 2
         assert "--tol" in capsys.readouterr().err
+
+
+def test_unwritable_out_is_usage_error(capsys, tmp_path):
+    path = tmp_path / "missing" / "x.csv"
+    code, out, err = run(capsys, "moments", "--n", "2", "--out", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"usage error: cannot write {path}: No such file or directory\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    ("voronovskaja --x-grid 0.1:0.9", "grid must look like a:b:steps, got '0.1:0.9'"),
+    ("voronovskaja --x-grid 0.1:0.9:x", "grid step count must be an integer"),
+    ("voronovskaja --x-grid 0.1:0.9:0", "grid needs at least one step"),
+    ("voronovskaja --n-list 8,a", "cannot parse n list '8,a'"),
+    ("voronovskaja --n-list 16,8", "n list must be strictly increasing"),
+    ("moments --n 2 --tol 0", "tol must be positive"),
+    ("moments --n 2 --m-max -1", "m-max must be >= 0"),
+    ("voronovskaja --q-seq one-minus-inv-sqrt-n", "one-minus-inv-sqrt-n needs --backend float"),
+    ("voronovskaja --variant stancu --alpha 1", "stancu variant needs --alpha and --beta"),
+    ("voronovskaja --rtol 0", "rtol must be positive and floor nonnegative"),
+    ("voronovskaja --floor -1", "rtol must be positive and floor nonnegative"),
+    ("remainder --x 1", "x must lie strictly inside (0, 1)"),
+    ("remainder --steps 0", "steps must be >= 1"),
+    ("verify --n-max 0", "n-max must be >= 1"),
+])
+def test_refusal_is_usage_error(capsys, argv, message):
+    assert run(capsys, *argv.split()) == (2, "", f"usage error: {message}\n")
 
 
 class TestVerifyCommand:

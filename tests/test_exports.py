@@ -1,5 +1,6 @@
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -21,3 +22,10 @@ def test_star_import():
     namespace = {}
     exec("from qdurrmeyer import *", namespace)
     assert set(qdurrmeyer.__all__) <= set(namespace)
+
+
+def test_readme_quickstart_runs():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library quickstart", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md (Library quickstart)", "exec"), {})
