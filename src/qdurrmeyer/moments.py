@@ -35,7 +35,11 @@ x^2/x^3 terms of the t^2..t^4 moments, and sign/factor slips in the
 central-moment statements).  Those quoted forms are kept, verbatim, in the
 `stated_*` functions, and `transcription_audit` compares them against the
 derivation-based routes, reporting "match" or "mismatch-documented" per
-identity without failing any suite.
+identity without failing any suite.  The audit is one table of (entry key,
+lazy (label, stated, derived) pairs); each entry stops at its first
+mismatch, which is its witness.  Its rows and `verify`'s mandatory checks
+are `ReportRow`s, judged by the one first-failure rule
+`ReportRow.first_failure`.
 """
 
 from __future__ import annotations
@@ -52,7 +56,7 @@ from .polyalg import Polynomial, contract_form
 from .qcore import QContext, Scalar
 
 __all__ = [
-    "AuditEntry",
+    "ReportRow",
     "raw_moment_brute",
     "raw_moment_closed",
     "raw_moment_recurrence",
@@ -595,76 +599,75 @@ def stated_stancu_central_moment(
 
 
 @dataclass(frozen=True)
-class AuditEntry:
+class ReportRow:
+    """One row of the `verify` report: a mandatory check, or an informational audit entry."""
+
     key: str
-    status: str  # "match" or "mismatch-documented"
+    status: str  # "pass" / "fail" when mandatory, "match" / "mismatch-documented" for the audit
+    mandatory: bool
     witness: str | None = None
 
+    @classmethod
+    def first_failure(cls, key: str, cases, mandatory: bool) -> ReportRow:
+        """Judge (label, ok) cases: the first case that is not ok fails the row as its witness.
 
-def _audit_compare(key, pairs) -> AuditEntry:
-    for label, stated, derived in pairs:
-        if stated != derived:
-            witness = (
-                f"{label}: stated {stated!r} vs derived {derived!r}"
-            )
-            return AuditEntry(key, "mismatch-documented", witness)
-    return AuditEntry(key, "match")
+        No case after it is evaluated.
+        """
+        witness = next((label for label, ok in cases if not ok), None)
+        statuses = ("pass", "fail") if mandatory else ("match", "mismatch-documented")
+        return cls(key, statuses[witness is not None], mandatory, witness)
+
+    def as_dict(self) -> dict:
+        out = {"name": self.key, "status": self.status, "mandatory": self.mandatory}
+        if self.witness is not None:
+            out["witness"] = self.witness
+        return out
 
 
 def transcription_audit(
     ctxs: Sequence[QContext],
     n_values: Sequence[int] = (1, 2, 3, 4, 5, 6),
     stancu_params: Sequence[tuple[int, int]] = ((0, 0), (1, 2), (2, 5)),
-) -> list[AuditEntry]:
+) -> list[ReportRow]:
     """Compare every quoted closed form against its derivation-based route.
 
-    Returns one entry per identity.  Mismatches are reported as
-    "mismatch-documented" with a witness; they never fail a suite, since
-    the library computes with the corrected forms.
+    Returns one row per identity.  Mismatches are reported as
+    "mismatch-documented" with the first mismatching pair as the witness;
+    they never fail a suite, since the library computes with the corrected
+    forms.
     """
-    entries = []
-    for m in (2, 3, 4):
-        pairs = [
-            (
-                f"n={n} q={ctx.q}",
-                stated_raw_moment(n, m, ctx),
-                raw_moment_brute(n, m, ctx),
-            )
-            for ctx in ctxs
-            for n in n_values
-        ]
-        entries.append(_audit_compare(f"moment-t{m}-transcription", pairs))
-    for m in (1, 2, 3, 4):
-        pairs = [
-            (
-                f"n={n} q={ctx.q}",
-                stated_central_moment(n, m, ctx),
-                central_moment(n, m, ctx, route=ROUTE_EXPANSION),
-            )
-            for ctx in ctxs
-            for n in n_values
-        ]
-        entries.append(_audit_compare(f"lemma1.1-m{m}-transcription", pairs))
-    for m in (2, 3, 4):
-        pairs = [(f"q={ctx.q}", stated_central_factor(m, ctx), central_factor_expand(m, ctx))
-                 for ctx in ctxs]
-        entries.append(_audit_compare(f"central-factor-m{m}-transcription", pairs))
-    for key, stated_fn, stancu_fn in (
-        ("lemma-l1", stated_stancu_moment, stancu_moment),
-        ("lemma-l4", stated_stancu_central_moment, stancu_central_moment),
-    ):
-        for m in (1, 2):
-            pairs = []
-            for ctx in ctxs:
-                for n in n_values:
-                    for a, b in stancu_params:
-                        alpha, beta = ctx.scalar(a), ctx.scalar(b)
-                        pairs.append(
-                            (
-                                f"n={n} q={ctx.q} alpha={a} beta={b}",
-                                stated_fn(n, m, ctx, alpha, beta),
-                                stancu_fn(n, m, ctx, alpha, beta),
-                            )
-                        )
-            entries.append(_audit_compare(f"{key}-m{m}-transcription", pairs))
-    return entries
+
+    def per_q(stated, derived, m):
+        return ((f"q={ctx.q}", stated(m, ctx), derived(m, ctx)) for ctx in ctxs)
+
+    def per_n(stated, derived, m):
+        return ((f"n={n} q={ctx.q}", stated(n, m, ctx), derived(n, m, ctx))
+                for ctx in ctxs for n in n_values)
+
+    def per_stancu(stated, derived, m):
+        for ctx in ctxs:
+            for n in n_values:
+                for a, b in stancu_params:
+                    alpha, beta = ctx.scalar(a), ctx.scalar(b)
+                    yield (f"n={n} q={ctx.q} alpha={a} beta={b}",
+                           stated(n, m, ctx, alpha, beta), derived(n, m, ctx, alpha, beta))
+
+    def cases(pairs):
+        for label, stated, derived in pairs:
+            ok = stated == derived
+            yield (label if ok else f"{label}: stated {stated!r} vs derived {derived!r}"), ok
+
+    # entry key -> its lazy (label, stated, derived) pairs, in report order
+    table = (
+        [(f"moment-t{m}-transcription", per_n(stated_raw_moment, raw_moment_brute, m))
+         for m in (2, 3, 4)]
+        + [(f"lemma1.1-m{m}-transcription", per_n(stated_central_moment, central_moment, m))
+           for m in (1, 2, 3, 4)]
+        + [(f"central-factor-m{m}-transcription",
+            per_q(stated_central_factor, central_factor_expand, m)) for m in (2, 3, 4)]
+        + [(f"lemma-l1-m{m}-transcription", per_stancu(stated_stancu_moment, stancu_moment, m))
+           for m in (1, 2)]
+        + [(f"lemma-l4-m{m}-transcription",
+            per_stancu(stated_stancu_central_moment, stancu_central_moment, m)) for m in (1, 2)]
+    )
+    return [ReportRow.first_failure(key, cases(pairs), mandatory=False) for key, pairs in table]

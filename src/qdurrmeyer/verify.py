@@ -1,8 +1,10 @@
 """The full invariant suite behind the `verify` CLI command.
 
-The report is one ordered table of named identities, judged by one
-function, `_check`, which fails an entry at its first (label, ok) case that
-is not ok.  The mandatory identities must hold exactly: q-integer recursions
+The report is one ordered table of named identities, each a stream of
+(label, ok) cases judged by `moments.ReportRow.first_failure`, which fails
+an entry at its first case that is not ok and evaluates no later case; the
+transcription audit's rows go through the same rule.  The mandatory
+identities must hold exactly: q-integer recursions
 (exact `q_int` is a closed form, so [n+1]_q = [n]_q + q^n checks it against
 the additive definition), Pascal rules, Jackson-vs-Beta agreement, partition
 of unity, kernel mass, agreement of each route set of `moments` (raw,
@@ -15,13 +17,13 @@ match or mismatch-documented without affecting the verdict.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .errors import SingularRemainderError
 from .asymptotics import q_taylor_remainder
 from .moments import (
+    ReportRow,
     central_factor_expand,
     central_moment,
     central_routes,
@@ -35,31 +37,11 @@ from .operators import OperatorSpec, bernstein_basis, durrmeyer_apply_poly, kern
 from .polyalg import Polynomial
 from .qcore import Backend, QContext, Scalar, jackson_integral, q_beta
 
-__all__ = ["VerifyEntry", "build_report", "DEFAULT_Q_VALUES"]
+__all__ = ["build_report", "DEFAULT_Q_VALUES"]
 
 DEFAULT_Q_VALUES = (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))
 
 _X_GRID_16 = [Fraction(i, 17) for i in range(1, 17)]
-
-
-@dataclass(frozen=True)
-class VerifyEntry:
-    name: str
-    status: str  # "pass" / "fail" for mandatory, "match" / "mismatch-documented" for audit
-    mandatory: bool
-    witness: str | None = None
-
-    def as_dict(self) -> dict:
-        out = {"name": self.name, "status": self.status, "mandatory": self.mandatory}
-        if self.witness is not None:
-            out["witness"] = self.witness
-        return out
-
-
-def _check(name, cases) -> VerifyEntry:
-    """Pass, or fail with the label of the first (label, ok) case that is not ok."""
-    witness = next((label for label, ok in cases if not ok), None)
-    return VerifyEntry(name, "pass" if witness is None else "fail", True, witness)
 
 
 def _agree(label, route_set):
@@ -213,10 +195,10 @@ def build_report(n_max: int = 8, q_values: Sequence[Fraction] = DEFAULT_Q_VALUES
         ("q-taylor-quadratic-zero", lambda ctx: _q_taylor_cases(ctx, rng)),
         ("q-taylor-singular-typed", _q_taylor_singular_cases),
     ]
-    entries = [_check(name, (case for ctx in ctxs for case in cases(ctx)))
+    entries = [ReportRow.first_failure(name, (c for ctx in ctxs for c in cases(ctx)),
+                                       mandatory=True)
                for name, cases in checks]
-    for audit in transcription_audit(ctxs, n_values=tuple(range(1, min(n_max, 6) + 1))):
-        entries.append(VerifyEntry(audit.key, audit.status, False, audit.witness))
+    entries += transcription_audit(ctxs, n_values=tuple(range(1, min(n_max, 6) + 1)))
     verdict = "pass" if all(
         e.status == "pass" for e in entries if e.mandatory
     ) else "fail"

@@ -286,6 +286,12 @@ class TestVoronovskajaCommand:
         code, _, _ = run(capsys, "voronovskaja", "--f", "exp", "--x", "0.3")
         assert code == 2
 
+    def test_json_config_names_a_black_box_f(self, capsys):
+        code, out, _ = run(capsys, "voronovskaja", "--f", "exp", "--backend", "float",
+                           "--x", "0.3", "--n-list", "4", "--format", "json")
+        assert code == 3
+        assert json.loads(out)["config"]["f"] == "FunctionSpec(exp)"
+
     @pytest.mark.parametrize("flag", [("--tol", "0"), ("--tol", "-1"), ("--max-terms", "0")])
     def test_jackson_flags_validated(self, capsys, flag):
         code, out, err = run(

@@ -676,3 +676,62 @@ class TestQuotedForms:
                 stated, derived = e.witness.split(": stated ", 1)[1].split(" vs derived ")
                 assert stated != derived, e.key
 
+    def test_audit_stops_at_the_first_mismatch(self, monkeypatch, ctx_grid):
+        calls = Counter()
+
+        def counting(name):
+            original = getattr(moments, name)
+
+            def counted(n, m, *rest):
+                calls[name, m] += 1
+                return original(n, m, *rest)
+
+            return counted
+
+        for name in ("stated_raw_moment", "stated_stancu_moment"):
+            monkeypatch.setattr(moments, name, counting(name))
+        transcription_audit(ctx_grid)
+        # moment-t2 first mismatches at its second pair, n=2 q=1/4
+        assert calls["stated_raw_moment", 2] == 2
+        # lemma-l1-m1 matches, so all 3 q x 6 n x 3 (alpha, beta) cases run
+        assert calls["stated_stancu_moment", 1] == 54
+
+
+def _bump_form(form):
+    return form[:-1] + (form[-1] + Scalar.exact(1),)
+
+
+def _bump_poly(p):
+    return p + Polynomial.one(Backend.EXACT)
+
+
+# (audit entry, the derived route it reads, its quoted form, q and arguments of the broken
+#  case, bump, witness label)
+ROUTE_BREAKS = [
+    ("lemma1.1-m1-transcription", "central_moment", stated_central_moment,
+     Fraction(1, 2), lambda ctx: (4, 1, ctx), _bump_poly, "n=4 q=1/2"),
+    ("central-factor-m2-transcription", "central_factor_expand", stated_central_factor,
+     Fraction(3, 4), lambda ctx: (2, ctx), _bump_form, "q=3/4"),
+    ("lemma-l1-m2-transcription", "stancu_moment", stated_stancu_moment,
+     Fraction(1, 4), lambda ctx: (5, 2, ctx, ctx.scalar(1), ctx.scalar(2)), _bump_poly,
+     "n=5 q=1/4 alpha=1 beta=2"),
+    ("lemma-l4-m1-transcription", "stancu_central_moment", stated_stancu_central_moment,
+     Fraction(3, 4), lambda ctx: (2, 1, ctx, ctx.scalar(2), ctx.scalar(5)), _bump_poly,
+     "n=2 q=3/4 alpha=2 beta=5"),
+]
+
+
+@pytest.mark.parametrize("key, name, stated, q, case, bump, label", ROUTE_BREAKS,
+                         ids=[b[0] for b in ROUTE_BREAKS])
+def test_a_broken_route_is_documented_at_its_first_broken_case(
+    monkeypatch, ctx_grid, key, name, stated, q, case, bump, label
+):
+    # the entry matches unbroken; breaking its route at one case makes that case the witness
+    ctx = next(c for c in ctx_grid if c.q.value == q)
+    args = case(ctx)
+    original = getattr(moments, name)
+    monkeypatch.setattr(moments, name,
+                        lambda *a: bump(original(*a)) if a == args else original(*a))
+    entry = {e.key: e for e in transcription_audit(ctx_grid)}[key]
+    witness = f"{label}: stated {stated(*args)!r} vs derived {bump(original(*args))!r}"
+    assert (entry.status, entry.witness) == ("mismatch-documented", witness)

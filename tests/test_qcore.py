@@ -371,3 +371,8 @@ class TestFunctionSpec:
     def test_unknown_builtin_rejected(self):
         with pytest.raises(DomainError):
             FunctionSpec.builtin("tan")
+
+    def test_repr_names_the_kind(self):
+        assert repr(FunctionSpec.builtin("exp")) == "FunctionSpec(exp)"
+        table = {Scalar.floating(0.5): Scalar.floating(1.0)}
+        assert repr(FunctionSpec.tabulated(table)) == "FunctionSpec(tabulated, 1 pts)"
