@@ -4,11 +4,10 @@ For a sequence q_n -> 1 the scaled deviation
 
     [n]_{q_n} ( D_{n,q_n}(f; x) - f(x) )
 
-is tabulated against its second-order limit target.  In limit form the
-target is (1+alpha-(2+beta)x) f'(x) + x(1-x) f''(x) for the Stancu
-operator, and the plain operator is its case alpha = beta = 0; a finite-q
-form with q-derivatives in place of f', f'' is available for diagnostics.
-The operator is the Stancu one when alpha and beta are given, and they come
+is tabulated against its second-order limit target, with classical
+derivatives: (1+alpha-(2+beta)x) f'(x) + x(1-x) f''(x) for the Stancu
+operator, and the plain operator is its case alpha = beta = 0.  The
+operator is the Stancu one when alpha and beta are given, and they come
 both or neither; each row's operator is one `OperatorSpec`.  Every f is a
 `Polynomial`, whose images and derivatives are exact, or a black-box
 `FunctionSpec`, whose images go through Jackson series.
@@ -45,7 +44,6 @@ __all__ = [
     "voronovskaja_rhs",
     "convergence_table",
     "convergence_grid",
-    "trend_decreasing_last_half",
     "q_taylor_remainder",
     "scaled_central_moment_at",
     "decay_slope",
@@ -101,10 +99,10 @@ class QSequence:
         return q
 
 
-def q_power_limit(seq: QSequence, n_probe: int = 1 << 20) -> float:
-    """Numerical estimate of lim q_n^n, the constant steering the limits."""
-    q = seq.value(n_probe, Backend.FLOAT)
-    return float(q) ** n_probe
+def q_power_limit(seq: QSequence) -> float:
+    """Numerical estimate of lim q_n^n, the constant steering the limits, read at n = 2^20."""
+    n = 1 << 20
+    return float(seq.value(n, Backend.FLOAT)) ** n
 
 
 @dataclass
@@ -161,19 +159,17 @@ def voronovskaja_lhs(
     q: Scalar,
     alpha: Scalar | None = None,
     beta: Scalar | None = None,
-    tol=None,
-    max_terms: int | None = None,
 ) -> Scalar:
     """[n]_q (operator image of f at x, minus f(x)), on a fresh context.
 
     Exact for a Polynomial f on the exact backend at any n: its images go
     through the closed moment tables, which reach n = 1024 and beyond.  A
-    black-box FunctionSpec uses the Jackson kernel path: each of its n + 1 series
-    needs about n^p ln(1/tol) nodes at q = 1 - n^(-p), so the default
+    black-box FunctionSpec takes the Jackson kernel path at the default tol and max_terms:
+    each of its n + 1 series needs about n^p ln(1/tol) nodes at q = 1 - n^(-p), so
     max_terms caps it near n^p = 150, and its stopping rule bounds no tail.
     """
     _validate_interior(x)
-    return _scaled_deviation(f, x, OperatorSpec(n, QContext(q), alpha, beta), tol, max_terms)
+    return _scaled_deviation(f, x, OperatorSpec(n, QContext(q), alpha, beta), None, None)
 
 
 def voronovskaja_rhs(
@@ -181,22 +177,16 @@ def voronovskaja_rhs(
     x: Scalar,
     alpha: Scalar | None = None,
     beta: Scalar | None = None,
-    ctx: QContext | None = None,
 ) -> Scalar:
-    """Second-order target for the scaled deviation.
+    """Second-order limit target for the scaled deviation, with classical derivatives.
 
-    With ctx=None this is the limit form with classical derivatives
-    (`Polynomial.derivative`, or a builtin's own); passing a context
-    evaluates the finite-q form with D_q and D_q^2.
+    A Polynomial takes `Polynomial.derivative`, a builtin its own derivatives.
     """
     _validate_interior(x)
     check_stancu_parameters(alpha, beta, x.backend)
     if alpha is None:
         alpha = beta = 0
-    if ctx is not None:
-        d1 = q_derivative(f, x, ctx, 1)
-        d2 = q_derivative(f, x, ctx, 2)
-    elif isinstance(f, Polynomial):
+    if isinstance(f, Polynomial):
         d1 = f.derivative().eval(x)
         d2 = f.derivative().derivative().eval(x)
     else:
@@ -264,14 +254,6 @@ def convergence_table(
     return convergence_grid(f, [x], seq, n_list, alpha, beta, tol, max_terms)[0]
 
 
-def trend_decreasing_last_half(rows: Sequence[ConvergenceRow]) -> bool:
-    """True when abs_err is non-increasing over the last half of the rows."""
-    usable = [r for r in rows if r.abs_err is not None]
-    tail = usable[len(usable) // 2 :]
-    errs = [r.abs_err for r in tail]
-    return all(_err_not_above(b, a) for a, b in zip(errs, errs[1:]))
-
-
 # -- scaled central-moment limits ------------------------------------------------
 
 
@@ -286,17 +268,15 @@ def decay_slope(
     x: Scalar,
     seq: QSequence,
     n_list: Sequence[int],
-    backend: Backend = Backend.EXACT,
 ) -> float:
-    """Least-squares slope of log |D((t-x)_q^m; x)| against log [n]_q."""
+    """Least-squares slope of log |D((t-x)_q^m; x)| against log [n]_q, on x's backend."""
     if len(n_list) < 2:
         raise DomainError("need at least two n values for a slope")
     if list(n_list) != sorted(set(n_list)):
         raise DomainError("n_list must be strictly increasing")
     xs, ys = [], []
     for n in n_list:
-        q = seq.value(n, backend)
-        ctx = QContext(q)
+        ctx = QContext(seq.value(n, x.backend))
         value = central_moment(n, m, ctx, route="closed").eval(x)
         if value.is_zero:
             raise DomainError(f"central moment vanished at n={n}; slope undefined")

@@ -71,8 +71,16 @@ def _parse_number(text: str) -> Fraction:
         raise UsageError(f"cannot parse number {text!r}: {exc}") from None
 
 
+def _to_scalar(value: Fraction, text: str, backend: Backend) -> Scalar:
+    """`value`, read from `text`, on `backend`; a float past the double range is a usage error."""
+    try:
+        return Scalar(value, backend)
+    except OverflowError:
+        raise UsageError(f"{text!r} is outside the float range") from None
+
+
 def _parse_scalar(text: str, backend: Backend) -> Scalar:
-    return Scalar(_parse_number(text), backend)
+    return _to_scalar(_parse_number(text), text, backend)
 
 
 def _parse_grid(text: str, backend: Backend) -> list[Scalar]:
@@ -96,7 +104,7 @@ def _parse_grid(text: str, backend: Backend) -> list[Scalar]:
     else:
         h = (b - a) / (steps - 1)
         values = [a + i * h for i in range(steps)]
-    return [Scalar(v, backend) for v in values]
+    return [_to_scalar(v, text, backend) for v in values]
 
 
 def _parse_n_list(text: str) -> list[int]:

@@ -44,7 +44,6 @@ are `ReportRow`s, judged by the one first-failure rule
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -53,7 +52,7 @@ from typing import Sequence
 from .errors import BackendMismatchError, DomainError
 from .operators import OperatorSpec, check_stancu_parameters, durrmeyer_apply_poly
 from .polyalg import Polynomial, contract_form
-from .qcore import QContext, Scalar
+from .qcore import QContext, Scalar, _memo_on_context
 
 __all__ = [
     "ReportRow",
@@ -78,6 +77,8 @@ __all__ = [
 
 ROUTE_CLOSED = "closed"
 ROUTE_EXPANSION = "expansion"
+# the (alpha, beta) pairs of the Stancu audit entries and of `verify`'s Stancu check
+STANCU_PARAMS = ((0, 0), (1, 2), (2, 5))
 
 
 def _validate_nm(n: int, m: int):
@@ -85,27 +86,6 @@ def _validate_nm(n: int, m: int):
         raise DomainError("moment degree n must be >= 1")
     if m < 0:
         raise DomainError("moment order m must be >= 0")
-
-
-def _memo_on_context(fn):
-    """Memoize fn(*args) in the memo of its QContext argument, freed with it; hits are identical.
-
-    The key is fn's name and the other arguments: a Scalar by its raw value, any other with its
-    type, so 2.0 misses 2.  Public callers of a private fn check its Scalars first; an argument
-    that fn refuses raises and is never stored.
-    """
-
-    @functools.wraps(fn)
-    def memoized(*args):
-        ctx = next(a for a in args if isinstance(a, QContext))
-        key = (fn.__name__,) + tuple(a.value if isinstance(a, Scalar) else (type(a), a)
-                                     for a in args if a is not ctx)
-        try:
-            return ctx.memo[key]
-        except KeyError:
-            return ctx.memo.setdefault(key, fn(*args))
-
-    return memoized
 
 
 def _q_falling(n: int, j: int, ctx: QContext) -> Scalar:
@@ -627,7 +607,6 @@ class ReportRow:
 def transcription_audit(
     ctxs: Sequence[QContext],
     n_values: Sequence[int] = (1, 2, 3, 4, 5, 6),
-    stancu_params: Sequence[tuple[int, int]] = ((0, 0), (1, 2), (2, 5)),
 ) -> list[ReportRow]:
     """Compare every quoted closed form against its derivation-based route.
 
@@ -647,7 +626,7 @@ def transcription_audit(
     def per_stancu(stated, derived, m):
         for ctx in ctxs:
             for n in n_values:
-                for a, b in stancu_params:
+                for a, b in STANCU_PARAMS:
                     alpha, beta = ctx.scalar(a), ctx.scalar(b)
                     yield (f"n={n} q={ctx.q} alpha={a} beta={b}",
                            stated(n, m, ctx, alpha, beta), derived(n, m, ctx, alpha, beta))

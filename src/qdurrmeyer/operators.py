@@ -38,7 +38,7 @@ from fractions import Fraction
 
 from .errors import BackendMismatchError, DomainError, JacksonTruncationError
 from .polyalg import Polynomial
-from .qcore import Backend, FunctionSpec, QContext, Scalar, jackson_series, q_beta
+from .qcore import Backend, FunctionSpec, QContext, Scalar, _memo_on_context, jackson_series, q_beta
 
 __all__ = [
     "OperatorSpec",
@@ -182,41 +182,35 @@ def durrmeyer_apply_poly(spec: OperatorSpec, p: Polynomial) -> Polynomial:
     return Polynomial(out, ctx.backend)
 
 
-def _apply_fn_pointwise(spec: OperatorSpec, fn, ident: tuple, x: Scalar, tol, max_terms) -> Scalar:
-    """Kernel sum for a black-box integrand, one Jackson series per kernel index k.
+@_memo_on_context
+def _kernel_integral(ctx: QContext, n: int, k: int, f: FunctionSpec, alpha, beta, tol, max_terms):
+    """int_0^1 f(t) t^k (1-qt)_q^(n-k) d_q t, one Jackson series; f at the Stancu point if given.
 
-    The per-k integrals do not depend on x.  Each is memoized on ctx.memo
-    under (n, k, ident, tol, max_terms), a truncation by its error's fields;
-    ident names fn by its FunctionSpec and Stancu parameters, never a closure.
+    It does not depend on x, so it is memoized on ctx; a truncation is returned as its
+    error's (message, last_term, terms), for the caller to raise.
     """
-    n, ctx = spec.n, spec.ctx
-    lead, one = ctx.q_int(n + 1), ctx.one.value
-    total = ctx.zero
-    for k in range(n + 1):
-        base = bernstein_basis(spec, k, x)
-        if base.is_zero:
-            continue
-        key = ("kernel_integral", n, k, ident, tol, max_terms)
-        if key not in ctx.memo:
-            pows = [ctx.q_power(s).value for s in range(1, n - k + 1)]
+    one = ctx.one.value
+    pows = [ctx.q_power(s).value for s in range(1, n - k + 1)]
+    fn = f.evaluate
+    if alpha is not None:
+        qn = ctx.q_int(n)
+        denom = qn + beta
 
-            def integrand(t: Scalar, _k=k, pows=pows) -> Scalar:
-                # f(t) * t^k * (1-qt)_q^(n-k) on raw values; the q^k/q^(-k) pair is folded away
-                out = t._lift(fn(t)) * t.value ** _k
-                for p in pows:
-                    out = out * (one - p * t.value)
-                return Scalar(out, ctx.backend)
+        def fn(t: Scalar) -> Scalar:
+            # with alpha <= beta this rounds to at most 1; the form a t + b can exceed 1 at t = 1
+            return f.evaluate((qn * t + alpha) / denom)
 
-            try:
-                ctx.memo[key] = jackson_series(integrand, ctx, tol=tol, max_terms=max_terms)
-            except JacksonTruncationError as exc:
-                msg = f"{exc} (while integrating kernel index k={k})"
-                ctx.memo[key] = (msg, exc.last_term, exc.terms)
-        integral = ctx.memo[key]
-        if isinstance(integral, tuple):  # a memoized truncation, raised afresh for each x
-            raise JacksonTruncationError(*integral, basis_index=k)
-        total = total + lead * base * ctx.q_binom(n, k) * integral
-    return total
+    def integrand(t: Scalar) -> Scalar:
+        # f(t) * t^k * (1-qt)_q^(n-k) on raw values; the q^k/q^(-k) pair is folded away
+        out = t._lift(fn(t)) * t.value ** k
+        for p in pows:
+            out = out * (one - p * t.value)
+        return Scalar(out, ctx.backend)
+
+    try:
+        return jackson_series(integrand, ctx, tol=tol, max_terms=max_terms)
+    except JacksonTruncationError as exc:
+        return f"{exc} (while integrating kernel index k={k})", exc.last_term, exc.terms
 
 
 def durrmeyer_apply_fn(
@@ -228,23 +222,25 @@ def durrmeyer_apply_fn(
 ) -> Scalar:
     """Image of f at x; a Polynomial takes the exact path of `durrmeyer_apply_poly`.
 
-    A Stancu spec evaluates a black-box f at ([n]_q t + alpha) / ([n]_q + beta);
-    the plain one evaluates f at t itself, since (q_n t + 0)/(q_n + 0) is
-    not always t in floats.
+    A black-box f takes the kernel sum with one `_kernel_integral` per index k.  A
+    Stancu spec evaluates it at ([n]_q t + alpha) / ([n]_q + beta); the plain one
+    evaluates f at t itself, since (q_n t + 0)/(q_n + 0) is not always t in floats.
     """
     _check_point(x, spec.ctx)
     if isinstance(f, Polynomial):
         return durrmeyer_apply_poly(spec, f).eval(x)
-    fn = f.evaluate
-    if spec.alpha is not None:
-        qn, alpha = spec.ctx.q_int(spec.n), spec.alpha
-        denom = qn + spec.beta
-
-        def fn(t: Scalar) -> Scalar:
-            # with alpha <= beta this rounds to at most 1; the form a t + b can exceed 1 at t = 1
-            return f.evaluate((qn * t + alpha) / denom)
-
-    return _apply_fn_pointwise(spec, fn, (f, spec.alpha, spec.beta), x, tol, max_terms)
+    n, ctx = spec.n, spec.ctx
+    lead = ctx.q_int(n + 1)
+    total = ctx.zero
+    for k in range(n + 1):
+        base = bernstein_basis(spec, k, x)
+        if base.is_zero:
+            continue
+        integral = _kernel_integral(ctx, n, k, f, spec.alpha, spec.beta, tol, max_terms)
+        if isinstance(integral, tuple):  # a memoized truncation, raised afresh for each x
+            raise JacksonTruncationError(*integral, basis_index=k)
+        total = total + lead * base * ctx.q_binom(n, k) * integral
+    return total
 
 
 def classical_durrmeyer_apply(n: int, p: Polynomial) -> Polynomial:

@@ -22,6 +22,7 @@ float ones keep the running sum, as the closed form cancels badly near q = 1.
 
 from __future__ import annotations
 
+import functools
 import math
 from enum import Enum
 from fractions import Fraction
@@ -245,8 +246,8 @@ class QContext:
 
     Requires 0 < q < 1 strictly.  Contexts are immutable after construction
     and hash by identity.  Each context owns its q-integer and q-binomial
-    tables and a `memo` dict keyed by a function (or route) name plus the other
-    arguments as raw values, a Scalar by its Fraction or float; all are freed
+    tables and a `memo` dict that `_memo_on_context` fills, keyed by a function
+    name plus the other arguments, a Scalar by its Fraction or float; all are freed
     with the context, so values for different q never mix and a sweep that
     drops its contexts does not accumulate them.  Cache growth is append-only
     under the GIL, which makes sharing a context across parallel workers safe.
@@ -364,6 +365,27 @@ class QContext:
 
     def __repr__(self):
         return f"QContext(q={self.q}, backend={self.backend.value})"
+
+
+def _memo_on_context(fn):
+    """Memoize fn(*args) in the memo of its QContext argument, freed with it; hits are identical.
+
+    The key is fn's name and the other arguments: a Scalar by its raw value, any other with its
+    type, so 2.0 misses 2.  Public callers of a private fn check its Scalars first; an argument
+    that fn refuses raises and is never stored.
+    """
+
+    @functools.wraps(fn)
+    def memoized(*args):
+        ctx = next(a for a in args if isinstance(a, QContext))
+        key = (fn.__name__,) + tuple(a.value if isinstance(a, Scalar) else (type(a), a)
+                                     for a in args if a is not ctx)
+        try:
+            return ctx.memo[key]
+        except KeyError:
+            return ctx.memo.setdefault(key, fn(*args))
+
+    return memoized
 
 
 # -- q-arithmetic operations -------------------------------------------------

@@ -25,13 +25,11 @@ from qdurrmeyer import (
     voronovskaja_rhs,
 )
 from qdurrmeyer.asymptotics import (
-    ConvergenceRow,
     QSequence,
     _err_not_above,
     decay_slope,
     q_power_limit,
     scaled_central_moment_at,
-    trend_decreasing_last_half,
 )
 
 T2 = Polynomial.monomial(2, Backend.EXACT)
@@ -77,7 +75,6 @@ class TestZeroPolynomial:
             "lhs": voronovskaja_lhs(zero, x, 6, ctx.q),
             "lhs stancu": voronovskaja_lhs(zero, x, 6, ctx.q, alpha, beta),
             "rhs limit": voronovskaja_rhs(zero, x, alpha, beta),
-            "rhs finite-q": voronovskaja_rhs(zero, x, alpha, beta, ctx),
             "apply_fn": durrmeyer_apply_fn(OperatorSpec(6, ctx), zero, x),
             "apply_fn stancu": durrmeyer_apply_fn(OperatorSpec(6, ctx, alpha, beta), zero, x),
             "jackson": jackson_integral(zero, ctx),
@@ -160,13 +157,6 @@ class TestVoronovskajaRhs:
         one = Polynomial([Scalar.exact(1)])
         assert voronovskaja_rhs(one, X03).is_zero
 
-    def test_finite_q_form(self, ctx_half):
-        # D_q t^2 = [2] x, D_q^2 t^2 = [2]; the finite-q target follows
-        got = voronovskaja_rhs(T2, X03, ctx=ctx_half)
-        q2 = ctx_half.q_int(2)
-        expected = (1 - 2 * X03) * q2 * X03 + X03 * (1 - X03) * q2
-        assert got == expected
-
     def test_builtin_limit_form(self):
         x = Scalar.floating(0.3)
         got = voronovskaja_rhs(FunctionSpec.builtin("exp"), x)
@@ -182,7 +172,6 @@ class TestConvergenceTable:
         assert all(r.rhs_limit == Fraction(33, 50) for r in rows)
         assert rows[0].err_decreased is None
         assert all(r.err_decreased for r in rows[1:])
-        assert trend_decreasing_last_half(rows)
 
     def test_abs_err_is_recomputed(self):
         seq = QSequence.one_minus_inv_n()
@@ -276,21 +265,6 @@ class TestErrorOrder:
             for b in values:
                 assert _err_not_above(Scalar.floating(a), Scalar.floating(b)) == (a <= b), (a, b)
 
-    def test_trend_reads_a_float_tie_exactly(self):
-        q = Scalar.exact(1, 2)
-        lo, hi = self.NEAR
-
-        def rows(*errs):
-            zero = Scalar.zero(errs[0].backend)
-            return [ConvergenceRow(8 * (i + 1), q, e, zero) for i, e in enumerate(errs)]
-
-        # the last half of four rows is their last pair
-        assert trend_decreasing_last_half(rows(hi, hi, hi, lo))
-        assert trend_decreasing_last_half(rows(hi, hi, hi, hi))
-        assert not trend_decreasing_last_half(rows(hi, hi, lo, hi))
-        one, nan = Scalar.floating(1.0), Scalar.floating(math.nan)
-        assert not trend_decreasing_last_half(rows(one, one, nan, nan))
-
 
 class TestScaledCentralMoments:
     def test_first_limit_along_admissible_sequence(self):
@@ -334,6 +308,13 @@ class TestScaledCentralMoments:
             s4 = decay_slope(4, x, seq, n_list)
             assert -2.3 < s3 < -1.7
             assert -2.3 < s4 < -1.7
+
+    def test_decay_slope_reads_the_backend_of_x(self):
+        # the second central moment decays like [n]^-1; the q_n are built on x's backend
+        x, n_list = Scalar.floating(0.3), [64, 128, 256, 512]
+        assert -1.2 < decay_slope(2, x, QSequence.one_minus_inv_sqrt_n(), n_list) < -0.9
+        slope = decay_slope(2, x, QSequence.power_decay(2), n_list)
+        assert abs(slope - decay_slope(2, X03, QSequence.power_decay(2), n_list)) < 1e-9
 
     def test_fourth_moment_dominates_variance_squared(self):
         # Cauchy-Schwarz for the positive operator: D((t-x)^4) >= D((t-x)^2)^2,

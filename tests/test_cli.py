@@ -479,6 +479,12 @@ def test_unwritable_out_is_usage_error(capsys, tmp_path):
     ("remainder --x 1", "x must lie strictly inside (0, 1)"),
     ("remainder --steps 0", "steps must be >= 1"),
     ("verify --n-max 0", "n-max must be >= 1"),
+    ("voronovskaja --backend float --x 1e400", "'1e400' is outside the float range"),
+    ("voronovskaja --backend float --x-grid 0.1:1e400:3",
+     "'0.1:1e400:3' is outside the float range"),
+    ("remainder --backend float --q 1e400", "'1e400' is outside the float range"),
+    ("stancu-moments --n 2 --backend float --alpha 1e400 --beta 1e401",
+     "'1e400' is outside the float range"),
 ])
 def test_refusal_is_usage_error(capsys, argv, message):
     assert run(capsys, *argv.split()) == (2, "", f"usage error: {message}\n")
