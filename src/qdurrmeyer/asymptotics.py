@@ -32,7 +32,6 @@ from typing import Callable, Sequence
 
 from .errors import BackendMismatchError, DomainError, SingularRemainderError
 from .moments import central_moment, scaled_deviation_at
-from .moments import raw_moment_brute  # noqa: F401  (still importable from this module)
 from .operators import OperatorSpec, check_stancu_parameters, durrmeyer_apply_fn
 from .polyalg import Polynomial
 from .qcore import Backend, FunctionSpec, QContext, Scalar, q_derivative
@@ -247,11 +246,9 @@ def convergence_table(
     n_list: Sequence[int],
     alpha: Scalar | None = None,
     beta: Scalar | None = None,
-    tol=None,
-    max_terms: int | None = None,
 ) -> list[ConvergenceRow]:
     """One ConvergenceRow per n at a single x; see convergence_grid."""
-    return convergence_grid(f, [x], seq, n_list, alpha, beta, tol, max_terms)[0]
+    return convergence_grid(f, [x], seq, n_list, alpha, beta)[0]
 
 
 # -- scaled central-moment limits ------------------------------------------------

@@ -344,18 +344,6 @@ def _central_expansion(n: int, m: int, ctx: QContext) -> Polynomial:
 
 
 @_memo_on_context
-def _stancu_recursion(n, m, ctx, alpha, beta) -> Polynomial:
-    """The body of `stancu_moment`, for validated arguments."""
-    qn = ctx.q_int(n)
-    shift_m = (qn + beta) ** m
-    total = Polynomial.zero(ctx.backend)
-    for j in range(m + 1):
-        c = (qn ** j) * (alpha ** (m - j)) / shift_m * math.comb(m, j)
-        if not c.is_zero:
-            total = total + raw_moment_brute(n, j, ctx).scale(c)
-    return total
-
-
 def stancu_moment(n: int, m: int, ctx: QContext, alpha: Scalar, beta: Scalar) -> Polynomial:
     """Image of t^m under the Stancu variant, as a polynomial in x.
 
@@ -368,7 +356,14 @@ def stancu_moment(n: int, m: int, ctx: QContext, alpha: Scalar, beta: Scalar) ->
     """
     _validate_nm(n, m)
     check_stancu_parameters(alpha, beta, ctx.backend)
-    return _stancu_recursion(n, m, ctx, alpha, beta)
+    qn = ctx.q_int(n)
+    shift_m = (qn + beta) ** m
+    total = Polynomial.zero(ctx.backend)
+    for j in range(m + 1):
+        c = (qn ** j) * (alpha ** (m - j)) / shift_m * math.comb(m, j)
+        if not c.is_zero:
+            total = total + raw_moment_brute(n, j, ctx).scale(c)
+    return total
 
 
 def stancu_central_moment(

@@ -222,7 +222,7 @@ def durrmeyer_apply_fn(
 ) -> Scalar:
     """Image of f at x; a Polynomial takes the exact path of `durrmeyer_apply_poly`.
 
-    A black-box f takes the kernel sum with one `_kernel_integral` per index k.  A
+    A black-box f takes the kernel sum with one Jackson series per index k, float only.  A
     Stancu spec evaluates it at ([n]_q t + alpha) / ([n]_q + beta); the plain one
     evaluates f at t itself, since (q_n t + 0)/(q_n + 0) is not always t in floats.
     """

@@ -247,10 +247,9 @@ class QContext:
     Requires 0 < q < 1 strictly.  Contexts are immutable after construction
     and hash by identity.  Each context owns its q-integer and q-binomial
     tables and a `memo` dict that `_memo_on_context` fills, keyed by a function
-    name plus the other arguments, a Scalar by its Fraction or float; all are freed
-    with the context, so values for different q never mix and a sweep that
-    drops its contexts does not accumulate them.  Cache growth is append-only
-    under the GIL, which makes sharing a context across parallel workers safe.
+    name plus the other arguments; all are freed with the context, so values for
+    different q never mix and a sweep that drops its contexts does not accumulate
+    them.  A context is not safe to share across threads; give each thread its own.
 
     Exact `q_int(n)` is S_n / d^(n-1), S_n = (d^n - a^n)/(d - a) for q = a/d in
     lowest terms, with S_n cached per index by `q_int_numerator`; float
@@ -370,15 +369,15 @@ class QContext:
 def _memo_on_context(fn):
     """Memoize fn(*args) in the memo of its QContext argument, freed with it; hits are identical.
 
-    The key is fn's name and the other arguments: a Scalar by its raw value, any other with its
-    type, so 2.0 misses 2.  Public callers of a private fn check its Scalars first; an argument
-    that fn refuses raises and is never stored.
+    The key is fn's name and the other arguments: a Scalar with its backend, any other with its
+    type, so 2.0 misses 2 and a float alpha misses an equal exact one.  An argument that fn
+    refuses raises and is never stored.
     """
 
     @functools.wraps(fn)
     def memoized(*args):
         ctx = next(a for a in args if isinstance(a, QContext))
-        key = (fn.__name__,) + tuple(a.value if isinstance(a, Scalar) else (type(a), a)
+        key = (fn.__name__,) + tuple((a.backend, a.value) if isinstance(a, Scalar) else (type(a), a)
                                      for a in args if a is not ctx)
         try:
             return ctx.memo[key]
@@ -560,18 +559,18 @@ def jackson_series(
     tol=None,
     max_terms: int | None = None,
 ) -> Scalar:
-    """(1-q) sum_{j>=0} q^j fn(q^j), truncated when a term drops below tol.
+    """(1-q) sum_{j>=0} q^j fn(q^j), truncated when a term drops below tol; float backend only.
 
-    Summed on raw values and wrapped once; JacksonTruncationError if max_terms is hit first.
+    A truncated sum is not exact, so an exact context raises BackendMismatchError.  Summed
+    on raw values and wrapped once; JacksonTruncationError if max_terms is hit first.
     """
+    if ctx.backend is not Backend.FLOAT:
+        raise BackendMismatchError("a truncated Jackson series is not exact; use the float backend")
     if max_terms is None:
         max_terms = DEFAULT_MAX_TERMS
     if max_terms < 1:
         raise DomainError("Jackson series needs max_terms >= 1")
-    if tol is None:
-        tol = ctx.scalar(Fraction(1, 10 ** 12)) if ctx.backend is Backend.EXACT else Scalar.floating(DEFAULT_TOL)
-    elif not isinstance(tol, Scalar):
-        tol = ctx.scalar(tol)
+    tol = ctx.scalar(DEFAULT_TOL if tol is None else tol)
     if not tol.value > 0:
         raise DomainError("Jackson tolerance must be positive")
     one_minus_q = ctx.one.value - ctx.q.value
@@ -590,20 +589,15 @@ def jackson_series(
     )
 
 
-def jackson_integral(
-    f,
-    ctx: QContext,
-    tol=None,
-    max_terms: int | None = None,
-) -> Scalar:
+def jackson_integral(f, ctx: QContext) -> Scalar:
     """int_0^1 f d_q t for a FunctionSpec or a Polynomial.
 
     A Polynomial is integrated in closed form, one monomial at a time
-    through int_0^1 t^m d_q t = 1/[m+1]_q, so the result is exact and tol is
-    ignored.  A FunctionSpec goes through the truncated Jackson series.
+    through int_0^1 t^m d_q t = 1/[m+1]_q, so the result is exact.  A
+    FunctionSpec goes through the truncated Jackson series, float backend only.
     """
     if isinstance(f, FunctionSpec):
-        return jackson_series(f.evaluate, ctx, tol=tol, max_terms=max_terms)
+        return jackson_series(f.evaluate, ctx)
     if f.backend is not ctx.backend:
         raise BackendMismatchError("polynomial backend differs from context")
     total = ctx.zero.value  # a loop, not sum(): later Pythons compensate float sums

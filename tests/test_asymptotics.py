@@ -196,7 +196,7 @@ class TestConvergenceTable:
         f = FunctionSpec.builtin("exp")
         x = Scalar.floating(0.3)
         seq = QSequence.one_minus_inv_n()
-        rows = convergence_table(f, x, seq, [512], max_terms=5)
+        (rows,) = convergence_grid(f, [x], seq, [512], max_terms=5)
         assert rows[0].error is not None
         assert rows[0].abs_err is None
 

@@ -31,7 +31,7 @@ from qdurrmeyer import (
     voronovskaja_lhs,
 )
 from qdurrmeyer import moments, operators
-from qdurrmeyer.asymptotics import QSequence, convergence_table
+from qdurrmeyer.asymptotics import QSequence, convergence_grid
 from qdurrmeyer.moments import (
     central_identity_coefficients,
     stated_central_factor,
@@ -367,11 +367,11 @@ class TestContextMemo:
     def test_kernel_integrals_are_freed_with_their_context(self):
         # n = 16 stops at max_terms = 200, so the memo also holds an error
         f, x, seq = FunctionSpec.builtin("exp"), Scalar.floating(0.3), QSequence.one_minus_inv_n()
-        rows = convergence_table(f, x, seq, [4, 8, 16], max_terms=200)
+        (rows,) = convergence_grid(f, [x], seq, [4, 8, 16], max_terms=200)
         assert rows[0].error is None and rows[-1].error is not None
         before = live_contexts()
         for _ in range(20):
-            convergence_table(f, x, seq, [4, 8, 16], max_terms=200)
+            convergence_grid(f, [x], seq, [4, 8, 16], max_terms=200)
         assert live_contexts() <= before
 
     def test_verify_builds_each_expansion_and_stancu_recursion_once(self):
@@ -379,7 +379,7 @@ class TestContextMemo:
         bodies = {
             inspect.unwrap(moments.central_factor_expand).__code__:
                 lambda v: ("expand", v["m"], id(v["ctx"])),
-            inspect.unwrap(moments._stancu_recursion).__code__:
+            inspect.unwrap(moments.stancu_moment).__code__:
                 lambda v: ("stancu", v["n"], v["m"], v["alpha"].value, v["beta"].value,
                            id(v["ctx"])),
         }
@@ -553,6 +553,13 @@ class TestStancuMoments:
     def test_parameter_validation(self, ctx_half):
         with pytest.raises(DomainError):
             stancu_moment(2, 1, ctx_half, Scalar.exact(3), Scalar.exact(1))
+
+    def test_memo_tells_the_backends_of_equal_parameters_apart(self, ctx_half):
+        one, two = Scalar.exact(1), Scalar.exact(2)
+        first = stancu_moment(2, 1, ctx_half, one, two)
+        assert stancu_moment(2, 1, ctx_half, one, two) is first
+        with pytest.raises(BackendMismatchError):
+            stancu_moment(2, 1, ctx_half, Scalar.floating(1.0), Scalar.floating(2.0))
 
     @pytest.mark.parametrize("n", [8, 64, 256])
     @pytest.mark.parametrize("q", [Fraction(1, 2), Fraction(13, 16), "one-minus-inv-n-squared"])

@@ -20,6 +20,7 @@ from qdurrmeyer import (
     q_derivative,
     q_pochhammer_one_minus,
 )
+from qdurrmeyer.qcore import jackson_series
 
 rational_q = st.fractions(
     min_value=Fraction(1, 20), max_value=Fraction(19, 20), max_denominator=40
@@ -292,18 +293,22 @@ class TestJacksonIntegral:
                 assert value == q_beta(m + 1, 1, ctx)
                 assert value == ctx.one / ctx.q_int(m + 1)
 
-    def test_series_path_on_tabulated_nodes(self, ctx_half):
+    def test_series_path_on_tabulated_nodes(self):
         # t -> t sampled on the Jackson nodes; series must reproduce 1/[2]
-        table = {ctx_node: ctx_node for ctx_node in (ctx_half.q_power(j) for j in range(200))}
-        got = jackson_integral(
-            FunctionSpec.tabulated(table), ctx_half, tol=Fraction(1, 10 ** 30)
-        )
-        assert abs(got - Fraction(2, 3)) < Fraction(1, 10 ** 25)
+        ctx = QContext.floating(0.5)
+        table = {ctx_node: ctx_node for ctx_node in (ctx.q_power(j) for j in range(200))}
+        got = jackson_series(FunctionSpec.tabulated(table).evaluate, ctx, tol=1e-30)
+        assert abs(float(got) - 2 / 3) < 1e-15
+
+    def test_tolerance_of_the_other_backend_is_refused(self):
+        with pytest.raises(BackendMismatchError):
+            jackson_series(FunctionSpec.builtin("exp").evaluate, QContext.floating(0.5),
+                           tol=Scalar.exact(1, 10 ** 12))
 
     def test_truncation_failure_is_diagnosed(self):
         ctx = QContext.floating(0.999)
         with pytest.raises(JacksonTruncationError) as err:
-            jackson_integral(FunctionSpec.builtin("exp"), ctx, tol=1e-12, max_terms=10)
+            jackson_series(FunctionSpec.builtin("exp").evaluate, ctx, tol=1e-12, max_terms=10)
         assert err.value.last_term is not None
         assert err.value.terms == 10
 
@@ -315,12 +320,12 @@ class TestJacksonIntegral:
     def test_nonpositive_max_terms_rejected(self, max_terms):
         ctx = QContext.floating(0.5)
         with pytest.raises(DomainError, match="max_terms"):
-            jackson_integral(FunctionSpec.builtin("exp"), ctx, max_terms=max_terms)
+            jackson_series(FunctionSpec.builtin("exp").evaluate, ctx, max_terms=max_terms)
 
     def test_builtin_series_value(self):
         # int_0^1 sin d_q t at q close to 1 approaches 1 - cos(1)
         ctx = QContext.floating(1 - 2.0 ** -14)
-        got = jackson_integral(FunctionSpec.builtin("sin"), ctx, tol=1e-13, max_terms=400000)
+        got = jackson_series(FunctionSpec.builtin("sin").evaluate, ctx, tol=1e-13, max_terms=400000)
         assert abs(float(got) - (1 - math.cos(1.0))) < 2e-4
 
 

@@ -14,7 +14,13 @@ from qdurrmeyer.moments import (
     stated_central_moment,
     stated_raw_moment,
 )
-from qdurrmeyer.operators import OperatorSpec, bernstein_basis, durrmeyer_apply_poly, kernel_mass
+from qdurrmeyer.operators import (
+    OperatorSpec,
+    bernstein_basis,
+    durrmeyer_apply_fn,
+    durrmeyer_apply_poly,
+    kernel_mass,
+)
 from qdurrmeyer.polyalg import Polynomial
 from qdurrmeyer.qcore import (
     Backend,
@@ -22,6 +28,7 @@ from qdurrmeyer.qcore import (
     QContext,
     Scalar,
     jackson_integral,
+    jackson_series,
     q_derivative,
 )
 
@@ -33,6 +40,9 @@ P_FLOAT = Polynomial.monomial(2, Backend.FLOAT)
 X = Scalar.exact(1, 2)
 HALF = Scalar.floating(0.5)
 EXP = FunctionSpec.builtin("exp")
+# t -> t on the exact Jackson nodes: a truncated series of it would pass for exact
+T_EXACT = FunctionSpec.tabulated({E.q_power(j): E.q_power(j) for j in range(200)})
+TRUNCATED = "a truncated Jackson series is not exact; use the float backend"
 
 # (id, the refused call, error type, message)
 REFUSALS = [
@@ -96,14 +106,24 @@ REFUSALS = [
      DomainError, "q-derivative order must be 1 or 2"),
     ("q-derivative-x2", lambda: q_derivative(P, Scalar.exact(2), E),
      DomainError, "q-derivative is evaluated on [0, 1]"),
-    ("jackson-zero-tol", lambda: jackson_integral(EXP, F, tol=0.0),
+    ("jackson-zero-tol", lambda: jackson_series(EXP.evaluate, F, tol=0.0),
      DomainError, "Jackson tolerance must be positive"),
+    ("jackson-exact", lambda: jackson_series(EXP.evaluate, E),
+     BackendMismatchError, TRUNCATED),
+    ("jackson-exact-tabulated", lambda: jackson_integral(T_EXACT, E),
+     BackendMismatchError, TRUNCATED),
+    ("apply-fn-exact-tabulated", lambda: durrmeyer_apply_fn(SPEC, T_EXACT, X),
+     BackendMismatchError, TRUNCATED),
     ("jackson-float-poly", lambda: jackson_integral(P_FLOAT, E),
      BackendMismatchError, "polynomial backend differs from context"),
     ("power-decay-0", lambda: QSequence.power_decay(0),
      DomainError, "power_decay needs p >= 1"),
     ("slope-one-n", lambda: decay_slope(2, X, QSequence.power_decay(2), [8]),
      DomainError, "need at least two n values for a slope"),
+    ("slope-vanished", lambda: decay_slope(1, Scalar.exact(64, 91), QSequence.power_decay(2), [2, 4]),
+     DomainError, "central moment vanished at n=2; slope undefined"),
+    ("q-sequence-stuck", lambda: QSequence("stuck", lambda n, b: Scalar.exact(1)).value(4),
+     DomainError, "q sequence left (0, 1) at n=4: 1"),
     ("q-taylor-t2", lambda: q_taylor_remainder(P, X, Scalar.exact(2), E),
      DomainError, "t must lie in [0, 1]"),
 ]
