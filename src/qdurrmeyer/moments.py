@@ -343,6 +343,14 @@ def _central_expansion(n: int, m: int, ctx: QContext) -> Polynomial:
 # -- Stancu moments ---------------------------------------------------------------
 
 
+def _validate_stancu(n: int, m: int, alpha: Scalar, beta: Scalar, ctx: QContext):
+    """`_validate_nm`, `check_stancu_parameters`, and refuse the plain operator's None, None."""
+    _validate_nm(n, m)
+    check_stancu_parameters(alpha, beta, ctx.backend)
+    if alpha is None:
+        raise DomainError("stancu moments need alpha and beta")
+
+
 @_memo_on_context
 def stancu_moment(n: int, m: int, ctx: QContext, alpha: Scalar, beta: Scalar) -> Polynomial:
     """Image of t^m under the Stancu variant, as a polynomial in x.
@@ -354,8 +362,7 @@ def stancu_moment(n: int, m: int, ctx: QContext, alpha: Scalar, beta: Scalar) ->
     with the plain moments drawn from the brute route.  The quoted m <= 2
     table is `stated_stancu_moment`; it agrees with this exactly.
     """
-    _validate_nm(n, m)
-    check_stancu_parameters(alpha, beta, ctx.backend)
+    _validate_stancu(n, m, alpha, beta, ctx)
     qn = ctx.q_int(n)
     shift_m = (qn + beta) ** m
     total = Polynomial.zero(ctx.backend)
@@ -375,8 +382,7 @@ def stancu_central_moment(
     moments.  The quoted m <= 2 table is `stated_stancu_central_moment`; its
     m = 2 entry is misprinted.
     """
-    _validate_nm(n, m)
-    check_stancu_parameters(alpha, beta, ctx.backend)
+    _validate_stancu(n, m, alpha, beta, ctx)
     coeffs = [ctx.one * ((-1) ** (m - j) * math.comb(m, j)) for j in range(m + 1)]
     return contract_form(coeffs, [stancu_moment(n, j, ctx, alpha, beta) for j in range(m + 1)])
 
@@ -518,8 +524,7 @@ def stated_central_moment(n: int, m: int, ctx: QContext) -> Polynomial:
 
 def stated_stancu_moment(n: int, m: int, ctx: QContext, alpha: Scalar, beta: Scalar) -> Polynomial:
     """The two-parameter t^m table exactly as usually quoted, m <= 2; it is correct."""
-    _validate_nm(n, m)
-    check_stancu_parameters(alpha, beta, ctx.backend)
+    _validate_stancu(n, m, alpha, beta, ctx)
     if m > 2:
         raise DomainError("quoted stancu forms cover m <= 2")
     q, qi = ctx.q, ctx.q_int
@@ -548,8 +553,7 @@ def stated_stancu_central_moment(
     The m = 2 entry is misprinted (the audit documents this), so it is kept
     only for the transcription audit.
     """
-    _validate_nm(n, m)
-    check_stancu_parameters(alpha, beta, ctx.backend)
+    _validate_stancu(n, m, alpha, beta, ctx)
     if m not in (1, 2):
         raise DomainError("quoted stancu central forms cover m in {1, 2}")
     q, qi = ctx.q, ctx.q_int

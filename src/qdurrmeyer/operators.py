@@ -23,10 +23,10 @@ q-integers, and its x^(m+1) coefficient must cancel and is checked.
 `bernstein_basis`, `kernel_mass` and `qcore.q_beta` keep the q-factorial
 forms, which `verify` checks and the test-suite compares with the kernel sum.
 
-Black-box f takes one Jackson series per kernel index k; those integrals do
-not depend on x and are memoized on the context, so an x grid shares them.
-A Stancu spec composes a polynomial with the affine map before the kernel
-sum, and evaluates a black-box f at the mapped point.
+Black-box f takes one Jackson series per kernel index k on raw floats (see
+`FunctionSpec.float_fn`); those integrals do not depend on x and are memoized
+on the context, so an x grid shares them.  A Stancu spec composes a polynomial
+with the affine map before the kernel sum, and a black-box f is read at the mapped point.
 """
 
 from __future__ import annotations
@@ -186,26 +186,25 @@ def durrmeyer_apply_poly(spec: OperatorSpec, p: Polynomial) -> Polynomial:
 def _kernel_integral(ctx: QContext, n: int, k: int, f: FunctionSpec, alpha, beta, tol, max_terms):
     """int_0^1 f(t) t^k (1-qt)_q^(n-k) d_q t, one Jackson series; f at the Stancu point if given.
 
-    It does not depend on x, so it is memoized on ctx; a truncation is returned as its
-    error's (message, last_term, terms), for the caller to raise.
+    Summed on raw floats and independent of x, so memoized on ctx; a truncation is returned as
+    its error's (message, last_term, terms), for the caller to raise.
     """
     one = ctx.one.value
     pows = [ctx.q_power(s).value for s in range(1, n - k + 1)]
-    fn = f.evaluate
+    fn = raw = f.float_fn()
     if alpha is not None:
-        qn = ctx.q_int(n)
-        denom = qn + beta
+        qn, shift, denom = ctx.q_int(n).value, alpha.value, (ctx.q_int(n) + beta).value
 
-        def fn(t: Scalar) -> Scalar:
+        def fn(t: float) -> float:
             # with alpha <= beta this rounds to at most 1; the form a t + b can exceed 1 at t = 1
-            return f.evaluate((qn * t + alpha) / denom)
+            return raw((qn * t + shift) / denom)
 
-    def integrand(t: Scalar) -> Scalar:
-        # f(t) * t^k * (1-qt)_q^(n-k) on raw values; the q^k/q^(-k) pair is folded away
-        out = t._lift(fn(t)) * t.value ** k
+    def integrand(t: float) -> float:
+        # f(t) * t^k * (1-qt)_q^(n-k); the q^k/q^(-k) pair is folded away
+        out = fn(t) * t ** k
         for p in pows:
-            out = out * (one - p * t.value)
-        return Scalar(out, ctx.backend)
+            out = out * (one - p * t)
+        return out
 
     try:
         return jackson_series(integrand, ctx, tol=tol, max_terms=max_terms)

@@ -501,6 +501,19 @@ class FunctionSpec:
 
     __call__ = evaluate
 
+    def float_fn(self) -> Callable[[float], float]:
+        """f on raw floats for `jackson_series`; refuses as `evaluate` does, and on exact values."""
+        if self.kind == self.TABULATED:
+            return lambda t: (node := Scalar.floating(t))._lift(self.evaluate(node))
+        f = _BUILTINS[self.name][0]
+
+        def builtin(t: float) -> float:
+            if not 0 <= t <= 1:
+                raise DomainError(f"function domain is [0, 1], got {t}")
+            return f(t)
+
+        return builtin
+
     def classical_derivative(self, x: Scalar, order: int) -> Scalar:
         """Ordinary derivative f'(x) or f''(x) of a builtin, used for limit-form targets."""
         if order not in (1, 2):
@@ -554,33 +567,35 @@ def q_derivative(f, x: Scalar, ctx: QContext, order: int = 1) -> Scalar:
 
 
 def jackson_series(
-    fn: Callable[[Scalar], Scalar],
+    fn: Callable[[float], float],
     ctx: QContext,
     tol=None,
     max_terms: int | None = None,
 ) -> Scalar:
     """(1-q) sum_{j>=0} q^j fn(q^j), truncated when a term drops below tol; float backend only.
 
-    A truncated sum is not exact, so an exact context raises BackendMismatchError.  Summed
-    on raw values and wrapped once; JacksonTruncationError if max_terms is hit first.
+    fn maps a float node to a float; the node is the running product of q, as in `QContext.q_power`,
+    so it has the bits of `ctx.q_power(j).value`.  A truncated sum is not exact, so an exact context
+    raises BackendMismatchError; JacksonTruncationError if max_terms is hit first.
     """
     if ctx.backend is not Backend.FLOAT:
         raise BackendMismatchError("a truncated Jackson series is not exact; use the float backend")
-    if max_terms is None:
-        max_terms = DEFAULT_MAX_TERMS
+    max_terms = DEFAULT_MAX_TERMS if max_terms is None else max_terms
     if max_terms < 1:
         raise DomainError("Jackson series needs max_terms >= 1")
-    tol = ctx.scalar(DEFAULT_TOL if tol is None else tol)
-    if not tol.value > 0:
+    tol = ctx.scalar(DEFAULT_TOL if tol is None else tol).value
+    if not tol > 0:
         raise DomainError("Jackson tolerance must be positive")
-    one_minus_q = ctx.one.value - ctx.q.value
+    q = ctx.q.value
+    one_minus_q = ctx.one.value - q
     total = term = ctx.zero.value
-    for j in range(max_terms):
-        node = ctx.q_power(j)
-        term = one_minus_q * node.value * node._lift(fn(node))
+    node = ctx.one.value
+    for _ in range(max_terms):
+        term = one_minus_q * node * fn(node)
         total = total + term
-        if abs(term) < tol.value:
+        if abs(term) < tol:
             return ctx.scalar(total)
+        node = node * q
     raise JacksonTruncationError(
         f"Jackson series did not reach tol={tol} within {max_terms} terms "
         f"(last term magnitude {abs(term)})",
@@ -597,7 +612,7 @@ def jackson_integral(f, ctx: QContext) -> Scalar:
     FunctionSpec goes through the truncated Jackson series, float backend only.
     """
     if isinstance(f, FunctionSpec):
-        return jackson_series(f.evaluate, ctx)
+        return jackson_series(f.float_fn(), ctx)
     if f.backend is not ctx.backend:
         raise BackendMismatchError("polynomial backend differs from context")
     total = ctx.zero.value  # a loop, not sum(): later Pythons compensate float sums

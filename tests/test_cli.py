@@ -635,6 +635,26 @@ FACTORIAL_FREE_EXAMPLES = [
 ]
 
 
+# stdout sha256 of float black-box rows captured while each Jackson node was
+# still a Scalar: a Stancu row, truncation rows under a tol no term can reach
+# and under a small --max-terms, JSON, and the shifted builtins
+BLACKBOX_EXAMPLES = [
+    ("voronovskaja --backend float --f exp --x 0.3 --variant stancu --alpha 0.5 --beta 1.5 "
+     "--q-seq one-minus-inv-n-squared --n-list 4,8,16", 3,
+     "467de7bccedcd3f03f655a2ec221f197d7bf819c40b7a268c7dc4b913f05427e"),
+    ("voronovskaja --backend float --f exp --x-grid 0.2:0.8:4 --q-seq one-minus-inv-n "
+     "--n-list 8,16,32,64 --tol 1e-300", 3,
+     "9ec52b76e78ffd8e2039ca112eb54c00cc73f849f1353b200b43075fd93f6b80"),
+    ("voronovskaja --backend float --f sqrt-shift --x 0.3 --variant stancu --alpha 1 --beta 1 "
+     "--n-list 4,8,16 --format json", 3,
+     "4ca06cae5a91a10786485bf5eee0909edc237029d18903b2fda01dc658810be2"),
+    ("voronovskaja --backend float --f reciprocal-shift --x 0.6 --n-list 4,8 --max-terms 50", 3,
+     "be63808ea614cc17ad156ae49d1c055f20df7226904349382b91d530cee8362a"),
+    ("voronovskaja --backend float --f abs-shift --x 0.3 --n-list 4,8", 3,
+     "10e634f5712b37ad12bde0a1add40bd01f901615a452c78dad6feb905860035a"),
+]
+
+
 def assert_pinned(capsys, command, exit_code, digest):
     code, out, _ = run(capsys, *command.split())
     assert code == exit_code
@@ -672,4 +692,9 @@ def test_integer_row_output_is_pinned(capsys, command, exit_code, digest):
 
 @pytest.mark.parametrize("command, exit_code, digest", FACTORIAL_FREE_EXAMPLES)
 def test_factorial_free_output_is_pinned(capsys, command, exit_code, digest):
+    assert_pinned(capsys, command, exit_code, digest)
+
+
+@pytest.mark.parametrize("command, exit_code, digest", BLACKBOX_EXAMPLES)
+def test_blackbox_output_is_pinned(capsys, command, exit_code, digest):
     assert_pinned(capsys, command, exit_code, digest)

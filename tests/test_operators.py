@@ -276,9 +276,9 @@ class TestDurrmeyerFunction:
         got = durrmeyer_apply_fn(spec, f, Scalar.floating(0.0))
 
         def weighted(t):
-            out = f.evaluate(t)
+            out = f.float_fn()(t)
             for s in range(n):
-                out = out * (ctx.one - ctx.q_power(s + 1) * t)
+                out = out * (1.0 - ctx.q_power(s + 1).value * t)
             return out
 
         from qdurrmeyer.qcore import jackson_series
@@ -372,6 +372,31 @@ class TestSharedKernelIntegrals:
             with pytest.raises(JacksonTruncationError) as err:
                 durrmeyer_apply_fn(spec, f, x, max_terms=2)
             assert err.value.basis_index == 0
+
+    def test_scalar_count_does_not_grow_with_the_nodes(self, monkeypatch):
+        # the Jackson nodes stay raw floats, so a tol that takes about nine times the
+        # nodes builds no more Scalars
+        built = [0]
+        init, wrap = Scalar.__init__, Scalar._wrap
+
+        def counted_init(self, *args):
+            built[0] += 1
+            init(self, *args)
+
+        def counted_wrap(self, value):
+            built[0] += 1
+            return wrap(self, value)
+
+        monkeypatch.setattr(Scalar, "__init__", counted_init)
+        monkeypatch.setattr(Scalar, "_wrap", counted_wrap)
+        counts = []
+        for tol in (None, 1e-100):
+            built[0] = 0
+            spec = OperatorSpec(8, QContext.floating(0.9))
+            for x in (0.2, 0.5):
+                durrmeyer_apply_fn(spec, FunctionSpec.builtin("exp"), Scalar.floating(x), tol=tol)
+            counts.append(built[0])
+        assert counts[0] == counts[1]
 
 
 class TestStancu:

@@ -297,18 +297,18 @@ class TestJacksonIntegral:
         # t -> t sampled on the Jackson nodes; series must reproduce 1/[2]
         ctx = QContext.floating(0.5)
         table = {ctx_node: ctx_node for ctx_node in (ctx.q_power(j) for j in range(200))}
-        got = jackson_series(FunctionSpec.tabulated(table).evaluate, ctx, tol=1e-30)
+        got = jackson_series(FunctionSpec.tabulated(table).float_fn(), ctx, tol=1e-30)
         assert abs(float(got) - 2 / 3) < 1e-15
 
     def test_tolerance_of_the_other_backend_is_refused(self):
         with pytest.raises(BackendMismatchError):
-            jackson_series(FunctionSpec.builtin("exp").evaluate, QContext.floating(0.5),
+            jackson_series(FunctionSpec.builtin("exp").float_fn(), QContext.floating(0.5),
                            tol=Scalar.exact(1, 10 ** 12))
 
     def test_truncation_failure_is_diagnosed(self):
         ctx = QContext.floating(0.999)
         with pytest.raises(JacksonTruncationError) as err:
-            jackson_series(FunctionSpec.builtin("exp").evaluate, ctx, tol=1e-12, max_terms=10)
+            jackson_series(FunctionSpec.builtin("exp").float_fn(), ctx, tol=1e-12, max_terms=10)
         assert err.value.last_term is not None
         assert err.value.terms == 10
 
@@ -320,12 +320,25 @@ class TestJacksonIntegral:
     def test_nonpositive_max_terms_rejected(self, max_terms):
         ctx = QContext.floating(0.5)
         with pytest.raises(DomainError, match="max_terms"):
-            jackson_series(FunctionSpec.builtin("exp").evaluate, ctx, max_terms=max_terms)
+            jackson_series(FunctionSpec.builtin("exp").float_fn(), ctx, max_terms=max_terms)
+
+    @pytest.mark.parametrize("q", [0.5, 0.999, 1 - 2.0 ** -14])
+    def test_nodes_are_the_cached_powers_bit_for_bit(self, q):
+        ctx = QContext.floating(q)
+        nodes = []
+
+        def fn(t):
+            nodes.append(t)
+            return math.inf  # no term passes the tol, so all max_terms nodes are visited
+
+        with pytest.raises(JacksonTruncationError):
+            jackson_series(fn, ctx, max_terms=4096)
+        assert [t.hex() for t in nodes] == [ctx.q_power(j).value.hex() for j in range(4096)]
 
     def test_builtin_series_value(self):
         # int_0^1 sin d_q t at q close to 1 approaches 1 - cos(1)
         ctx = QContext.floating(1 - 2.0 ** -14)
-        got = jackson_series(FunctionSpec.builtin("sin").evaluate, ctx, tol=1e-13, max_terms=400000)
+        got = jackson_series(FunctionSpec.builtin("sin").float_fn(), ctx, tol=1e-13, max_terms=400000)
         assert abs(float(got) - (1 - math.cos(1.0))) < 2e-4
 
 

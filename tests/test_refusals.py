@@ -11,8 +11,13 @@ from qdurrmeyer.moments import (
     central_moment,
     raw_moment_brute,
     raw_moment_closed,
+    stancu_central_moment,
+    stancu_moment,
+    stancu_routes,
     stated_central_moment,
     stated_raw_moment,
+    stated_stancu_central_moment,
+    stated_stancu_moment,
 )
 from qdurrmeyer.operators import (
     OperatorSpec,
@@ -43,6 +48,9 @@ EXP = FunctionSpec.builtin("exp")
 # t -> t on the exact Jackson nodes: a truncated series of it would pass for exact
 T_EXACT = FunctionSpec.tabulated({E.q_power(j): E.q_power(j) for j in range(200)})
 TRUNCATED = "a truncated Jackson series is not exact; use the float backend"
+# exact values on the float Jackson nodes: a raw float sum must not read them as floats
+T_FLOAT_KEYS = FunctionSpec.tabulated({F.q_power(j): Scalar.exact(1) for j in range(200)})
+MIXED = "cannot mix float and exact scalars"
 
 # (id, the refused call, error type, message)
 REFUSALS = [
@@ -106,14 +114,21 @@ REFUSALS = [
      DomainError, "q-derivative order must be 1 or 2"),
     ("q-derivative-x2", lambda: q_derivative(P, Scalar.exact(2), E),
      DomainError, "q-derivative is evaluated on [0, 1]"),
-    ("jackson-zero-tol", lambda: jackson_series(EXP.evaluate, F, tol=0.0),
+    ("jackson-zero-tol", lambda: jackson_series(EXP.float_fn(), F, tol=0.0),
      DomainError, "Jackson tolerance must be positive"),
-    ("jackson-exact", lambda: jackson_series(EXP.evaluate, E),
+    ("jackson-exact", lambda: jackson_series(EXP.float_fn(), E),
      BackendMismatchError, TRUNCATED),
     ("jackson-exact-tabulated", lambda: jackson_integral(T_EXACT, E),
      BackendMismatchError, TRUNCATED),
     ("apply-fn-exact-tabulated", lambda: durrmeyer_apply_fn(SPEC, T_EXACT, X),
      BackendMismatchError, TRUNCATED),
+    ("jackson-exact-table-values", lambda: jackson_integral(T_FLOAT_KEYS, F),
+     BackendMismatchError, MIXED),
+    ("apply-fn-exact-table-values",
+     lambda: durrmeyer_apply_fn(OperatorSpec(3, F), T_FLOAT_KEYS, Scalar.floating(0.3)),
+     BackendMismatchError, MIXED),
+    ("float-fn-domain", lambda: EXP.float_fn()(1.5),
+     DomainError, "function domain is [0, 1], got 1.5"),
     ("jackson-float-poly", lambda: jackson_integral(P_FLOAT, E),
      BackendMismatchError, "polynomial backend differs from context"),
     ("power-decay-0", lambda: QSequence.power_decay(0),
@@ -126,6 +141,15 @@ REFUSALS = [
      DomainError, "q sequence left (0, 1) at n=4: 1"),
     ("q-taylor-t2", lambda: q_taylor_remainder(P, X, Scalar.exact(2), E),
      DomainError, "t must lie in [0, 1]"),
+]
+
+# None for both parameters is the plain operator, which no Stancu moment function takes
+REFUSALS += [
+    (f"{fn.__name__}-plain-m{m}", lambda fn=fn, m=m: fn(3, m, E, None, None),
+     DomainError, "stancu moments need alpha and beta")
+    for fn in (stancu_moment, stancu_central_moment, stancu_routes,
+               stated_stancu_moment, stated_stancu_central_moment)
+    for m in (0, 1, 2)
 ]
 
 
