@@ -16,7 +16,7 @@ A caution that the tables make visible: those targets are the limits only
 when q_n^n -> 1 (for example q_n = 1 - 1/n^2).  Along q_n = 1 - 1/n one
 has q_n^n -> 1/e and the scaled deviation converges instead to a limit
 with (1 + lim q_n^n) x in place of 2x in the first-order coefficient.
-`q_power_limit` exposes that constant so tables can be read either way.
+Each `QSequence` declares that constant as `a`, so tables can be read either way.
 
 The q-Taylor remainder theta_q(x; t) normalizes the residue of the
 second-order q-Taylor expansion by (t-x)(t-qx); it vanishes identically
@@ -46,62 +46,48 @@ __all__ = [
     "q_taylor_remainder",
     "scaled_central_moment_at",
     "decay_slope",
-    "q_power_limit",
 ]
 
 @dataclass(frozen=True)
 class QSequence:
-    """Produces the deformation parameter q_n = fn(n, backend) for each table row."""
+    """A declared sequence q_n -> 1.
+
+    `exact` maps n to q_n as a Fraction, or is None when q_n is irrational;
+    `floating` maps n to the double q_n.  `a` is lim q_n^n, the constant in the
+    first-order coefficient of the limit.
+    """
 
     label: str
-    fn: Callable[[int, Backend], Scalar]
+    exact: Callable[[int], Fraction] | None
+    floating: Callable[[int], float]
+    a: float
 
     @classmethod
     def one_minus_inv_n(cls) -> "QSequence":
-        def fn(n: int, backend: Backend) -> Scalar:
-            if backend is Backend.EXACT:
-                return Scalar.exact(Fraction(n - 1, n))
-            return Scalar.floating(1.0 - 1.0 / n)
-
-        return cls("one-minus-inv-n", fn)
+        return cls("one-minus-inv-n", lambda n: Fraction(n - 1, n), lambda n: 1.0 - 1.0 / n,
+                   math.exp(-1))
 
     @classmethod
     def one_minus_inv_sqrt_n(cls) -> "QSequence":
-        def fn(n: int, backend: Backend) -> Scalar:
-            if backend is not Backend.FLOAT:
-                raise BackendMismatchError(
-                    "1 - 1/sqrt(n) is irrational; use the float backend"
-                )
-            return Scalar.floating(1.0 - 1.0 / math.sqrt(n))
-
-        return cls("one-minus-inv-sqrt-n", fn)
+        return cls("one-minus-inv-sqrt-n", None, lambda n: 1.0 - 1.0 / math.sqrt(n), 0)
 
     @classmethod
     def power_decay(cls, p: int) -> "QSequence":
         """q_n = 1 - n^(-p); p >= 2 gives q_n^n -> 1, exact on both backends."""
         if p < 1:
             raise DomainError("power_decay needs p >= 1")
-
-        def fn(n: int, backend: Backend) -> Scalar:
-            if backend is Backend.EXACT:
-                return Scalar.exact(Fraction(n ** p - 1, n ** p))
-            return Scalar.floating(1.0 - float(n) ** -p)
-
-        return cls(f"one-minus-inv-n^{p}", fn)
+        return cls(f"one-minus-inv-n^{p}", lambda n: Fraction(n ** p - 1, n ** p),
+                   lambda n: 1.0 - float(n) ** -p, 1 if p >= 2 else math.exp(-1))
 
     def value(self, n: int, backend: Backend = Backend.EXACT) -> Scalar:
         if n < 2:
             raise DomainError("q sequences need n >= 2 to satisfy 0 < q_n < 1")
-        q = self.fn(n, backend)
+        if backend is Backend.EXACT and self.exact is None:
+            raise BackendMismatchError(f"q_n of {self.label} is irrational; use the float backend")
+        q = Scalar((self.floating if backend is Backend.FLOAT else self.exact)(n), backend)
         if not (0 < q.value < 1):
             raise DomainError(f"q sequence left (0, 1) at n={n}: {q}")
         return q
-
-
-def q_power_limit(seq: QSequence) -> float:
-    """Numerical estimate of lim q_n^n, the constant steering the limits, read at n = 2^20."""
-    n = 1 << 20
-    return float(seq.value(n, Backend.FLOAT)) ** n
 
 
 @dataclass
@@ -307,11 +293,10 @@ def q_taylor_remainder(
         return Scalar.zero(x.backend)
     t_minus_x = t - x
     t_minus_qx = t - ctx.q * x
-    if t_minus_qx.is_zero:
-        raise SingularRemainderError(
-            f"theta_q is singular at t = q*x (t={t}, x={x}, q={ctx.q})"
-        )
     denom = t_minus_x * t_minus_qx
+    if denom.is_zero:  # t = qx, or a float product that underflows to 0
+        where = "t = q*x" if t_minus_qx.is_zero else "a (t-x)(t-qx) that underflows to 0"
+        raise SingularRemainderError(f"theta_q is singular at {where} (t={t}, x={x}, q={ctx.q})")
     d1 = q_derivative(f, x, ctx, 1)
     d2 = q_derivative(f, x, ctx, 2)
     residue = (

@@ -490,9 +490,9 @@ def _build_config(args) -> RunConfig:
                 raise UsageError("x grid must lie strictly inside (0, 1)")
         opts["x_grid"] = grid
         opts["n_list"] = _parse_n_list(args.n_list)
-        if args.q_seq == "one-minus-inv-sqrt-n" and backend is not Backend.FLOAT:
-            raise UsageError("one-minus-inv-sqrt-n needs --backend float")
         opts["seq"] = _Q_SEQUENCES[args.q_seq]()
+        if opts["seq"].exact is None and backend is not Backend.FLOAT:
+            raise UsageError(f"{args.q_seq} needs --backend float")
         opts["variant"] = args.variant
         if args.variant == "stancu":
             if args.alpha is None or args.beta is None:

@@ -10,11 +10,11 @@ class DomainError(ValueError):
 
 
 class OriginDerivativeError(DomainError):
-    """Raised for a q-derivative at x = 0 of a function without a coefficient rule."""
+    """Raised for a black-box q-derivative at x = 0, or where its float quotient underflows."""
 
 
 class SingularRemainderError(ZeroDivisionError):
-    """Raised when the q-Taylor remainder is evaluated on its singular set t = q*x."""
+    """Raised when the q-Taylor remainder is taken at t = q*x, or its float (t-x)(t-qx) is 0."""
 
 
 class JacksonTruncationError(ArithmeticError):

@@ -194,11 +194,12 @@ def scaled_deviation_at(spec: OperatorSpec, f: Polynomial, x: Scalar) -> Scalar:
     """[n]_q (image of f at x, minus f(x)) under `spec`.
 
     One division at the end, from the closed tables in the integer view of
-    `Scalar.as_ratio` (d = v = 1 on float).  A Stancu spec weights each t^m
-    as in `stancu_moment`.  For x = u/v and degree M the plain moments share
-    the denominator S_{n+2} ... S_{n+M+1} v^M, and with alpha = a1/a2,
-    beta = b1/b2 and [n]_q = S_n / g, g = d^(n-1), the Stancu weights share
-    (a2 (S_n b2 + b1 g))^M, so only the result is reduced.
+    `Scalar.as_ratio` (d = v = 1 on float).  For x = u/v and degree M the moments
+    share the denominator S_{n+2} ... S_{n+M+1} v^M.  With [n]_q = S_n / g,
+    g = d^(n-1), alpha = a1/a2 and beta = b1/b2 the Stancu point
+    ([n]_q t + alpha)/([n]_q + beta) is (A t + B)/U, A = a2 b2 S_n, B = a1 b2 g,
+    U = a2 (b2 S_n + b1 g), so f's integer weights w_m compose to
+    H_j = A^j sum_{m>=j} C(m, j) w_m B^(m-j) U^(M-m) over U^M; a plain spec is U = 1, H = w.
     """
     n, ctx, coeffs = spec.n, spec.ctx, f.coeffs
     if f.backend is not ctx.backend or x.backend is not ctx.backend:
@@ -221,26 +222,20 @@ def scaled_deviation_at(spec: OperatorSpec, f: Polynomial, x: Scalar) -> Scalar:
     ratios = [c.as_ratio() for c in coeffs]
     lcm = math.lcm(*(den for _, den in ratios))
     weights = [num * (lcm // den) for num, den in ratios]
-    if spec.alpha is None:
-        unit = 1
-        images = [plain_at(m) if w else 0 for m, w in enumerate(weights)]
-    else:
-        a1, a2 = spec.alpha.as_ratio()
-        b1, b2 = spec.beta.as_ratio()
-        unit = a2 * (sn * b2 + b1 * g)
-        plain = [plain_at(j) for j in range(deg + 1)]
-        # C(m, j) [n]^j alpha^(m-j) / ([n] + beta)^m
-        #     = C(m, j) (a2 sn)^j (a1 g)^(m-j) b2^m / unit^m
-        images = [
-            b2 ** m * sum(
-                math.comb(m, j) * (a2 * sn) ** j * (a1 * g) ** (m - j) * plain[j]
-                for j in range(m + 1)
-            )
-            if w else 0
-            for m, w in enumerate(weights)
-        ]
-    common = unit ** deg * tails[0]
-    image = sum(w * unit ** (deg - m) * im for m, (w, im) in enumerate(zip(weights, images)))
+    composed, common = weights, tails[0]
+    if spec.alpha is not None:
+        (a1, a2), (b1, b2) = spec.alpha.as_ratio(), spec.beta.as_ratio()
+        scale, shift, unit = a2 * b2 * sn, a1 * b2 * g, a2 * (b2 * sn + b1 * g)
+        try:  # a float ** past the double range raises
+            composed = [scale ** j * sum(math.comb(m, j) * w * shift ** (m - j) * unit ** (deg - m)
+                                         for m, w in enumerate(weights[j:], j) if w)
+                        for j in range(len(weights))]
+            common *= unit ** deg
+        except OverflowError:
+            raise DomainError(
+                "float Stancu point leaves the float range; use the exact backend"
+            ) from None
+    image = sum(h * plain_at(j) for j, h in enumerate(composed) if h)
     p_at_x = sum(w * u ** m * v ** (deg - m) for m, w in enumerate(weights))
     return Scalar.from_ratio(sn * (image - p_at_x * common), g * lcm * common * v ** deg,
                              ctx.backend)

@@ -197,7 +197,10 @@ class Scalar:
     def __pow__(self, exponent):
         if not isinstance(exponent, int):
             raise TypeError("Scalar exponents must be ints")
-        return self._wrap(self.value ** exponent)
+        try:
+            return self._wrap(self.value ** exponent)
+        except OverflowError:  # only a float power overflows; it raises instead of giving inf
+            raise DomainError("float power leaves the float range; use the exact backend") from None
 
     def __neg__(self):
         return self._wrap(-self.value)
@@ -550,17 +553,17 @@ def q_derivative(f, x: Scalar, ctx: QContext, order: int = 1) -> Scalar:
         for _ in range(order):
             f = f.q_derivative(ctx)
         return f.eval(x)
-    if x.is_zero:
-        raise OriginDerivativeError(
-            "q-derivative at x = 0 is defined only through the polynomial rule"
-        )
     q = ctx.q
-    denom = (q - 1) * x
+    denoms = [(q - 1) * x, (q - 1) * q * x][:order]
+    if any(d.is_zero for d in denoms):  # x = 0, or a float product that underflows to 0
+        raise OriginDerivativeError(
+            "q-derivative at x = 0 is defined only through the polynomial rule" if x.is_zero else
+            f"a float q-difference quotient at x = {x} divides by a product that underflows to 0")
+    first_at_x = (f.evaluate(q * x) - f.evaluate(x)) / denoms[0]
     if order == 1:
-        return (f.evaluate(q * x) - f.evaluate(x)) / denom
-    first_at_qx = (f.evaluate(q * q * x) - f.evaluate(q * x)) / ((q - 1) * q * x)
-    first_at_x = (f.evaluate(q * x) - f.evaluate(x)) / denom
-    return (first_at_qx - first_at_x) / denom
+        return first_at_x
+    first_at_qx = (f.evaluate(q * q * x) - f.evaluate(q * x)) / denoms[1]
+    return (first_at_qx - first_at_x) / denoms[0]
 
 
 # -- Jackson integral -------------------------------------------------------------

@@ -28,7 +28,6 @@ from qdurrmeyer.asymptotics import (
     QSequence,
     _err_not_above,
     decay_slope,
-    q_power_limit,
     scaled_central_moment_at,
 )
 
@@ -56,10 +55,16 @@ class TestQSequence:
         with pytest.raises(DomainError):
             QSequence.one_minus_inv_n().value(1)
 
-    def test_q_power_limit_distinguishes_sequences(self):
-        # q_n^n tends to 1/e along 1 - 1/n but to 1 along 1 - 1/n^2
-        assert abs(q_power_limit(QSequence.one_minus_inv_n()) - math.exp(-1)) < 1e-5
-        assert q_power_limit(QSequence.power_decay(2)) > 0.999
+    @pytest.mark.parametrize("seq", [
+        QSequence.one_minus_inv_n(),
+        QSequence.one_minus_inv_sqrt_n(),
+        QSequence.power_decay(1),
+        QSequence.power_decay(2),
+    ], ids=lambda seq: seq.label)
+    def test_declared_a_is_the_limit_of_q_power_n(self, seq):
+        # q_n^n tends to 1/e along 1 - 1/n, to 0 along 1 - 1/sqrt(n), to 1 along 1 - 1/n^2
+        n = 1 << 20
+        assert abs(seq.a - float(seq.value(n, Backend.FLOAT)) ** n) < 1e-5
 
 
 class TestZeroPolynomial:

@@ -13,6 +13,7 @@ from qdurrmeyer import Polynomial, Scalar, build_report, moments
 from qdurrmeyer.cli import (
     _DECIMAL_BITS,
     _DECIMAL_LEAF_BITS,
+    _Q_SEQUENCES,
     _TWO_POWERS,
     _big_int_text,
     _build_parser,
@@ -233,6 +234,23 @@ class TestVoronovskajaCommand:
             "lhs~0.206983 rhs~-0.579468 abs_err~0.786451\n"
         )
 
+    def test_float_stancu_point_past_the_range_is_a_row_error(self, capsys):
+        code, out, err = run(capsys, "voronovskaja", "--backend", "float", "--x", "0.3",
+                             "--variant", "stancu", "--alpha", "0", "--beta", "1e308",
+                             "--n-list", "4")
+        reason = "float Stancu point leaves the float range; use the exact backend"
+        assert code == 3
+        assert out.splitlines()[1] == f"4,0.75,0.3,error:{reason},,,"
+        assert err == f"tolerance failure: worst offender x=0.3 n=4 error: {reason}\n"
+
+    @pytest.mark.parametrize("name", list(_Q_SEQUENCES))
+    def test_exact_backend_is_accepted_when_the_sequence_declares_it(self, capsys, name):
+        code, _, err = run(capsys, "voronovskaja", "--q-seq", name, "--n-list", "4,8")
+        if _Q_SEQUENCES[name]().exact is None:
+            assert (code, err) == (2, f"usage error: {name} needs --backend float\n")
+        else:
+            assert code in (0, 3) and not err.startswith("usage error")
+
     def test_alpha_rejected_for_plain(self, capsys):
         code, _, _ = run(
             capsys, "voronovskaja", "--f", "t2", "--x", "0.3", "--alpha", "1", "--beta", "2"
@@ -448,6 +466,16 @@ class TestRemainderCommand:
         assert lines[52] == "52,0.5000000000000001,0.3749999999999994,"
         assert lines[53:] == [f"{i},0.5,,t-rounds-to-x" for i in range(53, 61)]
 
+    def test_float_denominator_that_underflows_reads_singular(self, capsys):
+        # from step 538 (t - x)(t - qx) underflows to 0 at x = 1e-300
+        code, out, _ = run(capsys, "remainder", "--backend", "float", "--f", "t3",
+                           "--x", "1e-300", "--q", "1/2", "--steps", "550")
+        assert code == 0
+        lines = out.splitlines()
+        assert len(lines) == 1 + 550 and lines[537].split(",")[3] == ""
+        assert all(",singular:theta_q is singular at a (t-x)(t-qx) that underflows to 0" in line
+                   for line in lines[538:])
+
     def test_tol_is_not_an_option(self, capsys):
         # only the moment tables read a tolerance; a remainder grid is exact or plain float
         with pytest.raises(SystemExit) as exc:
@@ -485,9 +513,40 @@ def test_unwritable_out_is_usage_error(capsys, tmp_path):
     ("remainder --backend float --q 1e400", "'1e400' is outside the float range"),
     ("stancu-moments --n 2 --backend float --alpha 1e400 --beta 1e401",
      "'1e400' is outside the float range"),
+    ("stancu-moments --n 3 --q 0.5 --alpha 1e300 --beta 1e300 --backend float",
+     "float power leaves the float range; use the exact backend"),
+    ("remainder --backend float --f exp --x 1e-200 --q 1e-200 --steps 2",
+     "a float q-difference quotient at x = 1e-200 divides by a product that underflows to 0"),
 ])
 def test_refusal_is_usage_error(capsys, argv, message):
     assert run(capsys, *argv.split()) == (2, "", f"usage error: {message}\n")
+
+
+# edge inputs at the float range: each run ends with a documented exit code, never a traceback
+@pytest.mark.parametrize("argv", [
+    "stancu-moments --n 3 --q 0.5 --alpha 1e300 --beta 1e300 --backend float",
+    "voronovskaja --backend float --x 0.3 --variant stancu --alpha 0 --beta 1e308 --n-list 4",
+    "remainder --backend float --f t3 --x 1e-300 --q 1/2 --steps 550",
+    "remainder --backend float --f exp --x 1e-200 --q 1e-200 --steps 2",
+    "voronovskaja --backend float --x 5e-324 --n-list 4",
+    "voronovskaja --x 5e-324 --n-list 4",
+    "voronovskaja --backend float --f exp --x 5e-324 --n-list 4",
+    "voronovskaja --backend float --x 5e-324 --variant stancu --alpha 1 --beta 2 --n-list 4",
+    "remainder --backend float --f exp --x 5e-324 --steps 2",
+    "remainder --backend float --f t3 --x 5e-324 --steps 2",
+    "moments --backend float --q 1e-320 --n 3",
+    "central-moments --backend float --q 1e-320 --n 3",
+    "stancu-moments --backend float --q 1e-320 --n 3 --alpha 1 --beta 2",
+    "remainder --backend float --f exp --q 1e-320 --steps 2",
+    "moments --q 1e-320 --n 3",
+    "voronovskaja --backend float --rtol 1e-320 --n-list 4",
+    "voronovskaja --rtol 1e-320 --n-list 4",
+    "voronovskaja --backend float --f exp --rtol 1e-320 --n-list 4",
+])
+def test_edge_input_exits_with_a_documented_code(capsys, argv):
+    code, _, err = run(capsys, *argv.split())
+    assert code in (0, 2, 3, 4)
+    assert "Traceback" not in err
 
 
 class TestVerifyCommand:

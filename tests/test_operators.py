@@ -470,6 +470,11 @@ class TestClassical:
                 [Fraction(1, n + 2), Fraction(n, n + 2)]
             )
 
+    def test_vanishing_term_is_skipped(self):
+        # p = 1 - 4t at n = 2: the k = 0 weight is 1/3 - 4/12 = 0; the image is 1 - (1 + 2x)
+        p = Polynomial.from_fractions([1, -4])
+        assert classical_durrmeyer_apply(2, p) == Polynomial.from_fractions([0, -2])
+
     def test_polynomial_only(self):
         with pytest.raises(BackendMismatchError):
             classical_durrmeyer_apply(2, Polynomial((Scalar.floating(1.0),)))

@@ -72,6 +72,14 @@ def test_backend_mismatch_rejected():
         Polynomial.from_fractions([1, 1]).eval(Scalar.floating(0.5))
 
 
+def test_equality_and_hash():
+    p = Polynomial.from_fractions([1, Fraction(1, 2)])
+    assert p != (1, Fraction(1, 2)) and p != Scalar.exact(1)
+    assert p == Polynomial.from_fractions([1, Fraction(1, 2), 0])
+    assert hash(p) == hash(Polynomial.from_fractions([1, Fraction(1, 2), 0]))
+    assert len({p, Polynomial.from_fractions([1, Fraction(1, 2)])}) == 1
+
+
 def test_normalization_strips_exact_zeros_only():
     p = Polynomial.from_fractions([1, 0, 0])
     assert p.degree == 0

@@ -104,6 +104,10 @@ class TestQContext:
         with pytest.raises(AttributeError):
             ctx_half.q = Scalar.exact(1, 3)
 
+    def test_scalar_passes_a_same_backend_scalar_through(self, ctx_half):
+        x = Scalar.exact(1, 3)
+        assert ctx_half.scalar(x) is x
+
 
 class TestQInteger:
     def test_examples(self, ctx_half):

@@ -5,12 +5,18 @@ from fractions import Fraction
 import pytest
 
 from qdurrmeyer.asymptotics import QSequence, decay_slope, q_taylor_remainder
-from qdurrmeyer.errors import BackendMismatchError, DomainError
+from qdurrmeyer.errors import (
+    BackendMismatchError,
+    DomainError,
+    OriginDerivativeError,
+    SingularRemainderError,
+)
 from qdurrmeyer.moments import (
     central_factor_expand,
     central_moment,
     raw_moment_brute,
     raw_moment_closed,
+    scaled_deviation_at,
     stancu_central_moment,
     stancu_moment,
     stancu_routes,
@@ -51,6 +57,7 @@ TRUNCATED = "a truncated Jackson series is not exact; use the float backend"
 # exact values on the float Jackson nodes: a raw float sum must not read them as floats
 T_FLOAT_KEYS = FunctionSpec.tabulated({F.q_power(j): Scalar.exact(1) for j in range(200)})
 MIXED = "cannot mix float and exact scalars"
+FLOAT_RANGE = "leaves the float range; use the exact backend"
 
 # (id, the refused call, error type, message)
 REFUSALS = [
@@ -94,12 +101,16 @@ REFUSALS = [
      BackendMismatchError, "cannot mix a float with an exact scalar"),
     ("scalar-fraction-power", lambda: Scalar.exact(2) ** Fraction(1, 2),
      TypeError, "Scalar exponents must be ints"),
+    ("scalar-float-power-overflow", lambda: Scalar.floating(1e300) ** 2,
+     DomainError, f"float power {FLOAT_RANGE}"),
     ("context-bare-q", lambda: QContext(0.5),
      TypeError, "q must be a Scalar"),
     ("context-scalar-float", lambda: E.scalar(HALF),
      BackendMismatchError, "scalar backend does not match context"),
     ("tabulated-empty", lambda: FunctionSpec.tabulated({}),
      DomainError, "tabulated spec needs at least one point"),
+    ("builtin-exact-x", lambda: EXP.evaluate(X),
+     BackendMismatchError, "builtin 'exp' evaluates in float arithmetic; use the float backend"),
     ("derivative-order-3", lambda: EXP.classical_derivative(HALF, 3),
      DomainError, "derivative order must be 1 or 2"),
     ("derivative-tabulated",
@@ -114,6 +125,11 @@ REFUSALS = [
      DomainError, "q-derivative order must be 1 or 2"),
     ("q-derivative-x2", lambda: q_derivative(P, Scalar.exact(2), E),
      DomainError, "q-derivative is evaluated on [0, 1]"),
+    # (q - 1) q x underflows in the order-2 quotient
+    ("q-derivative-underflow",
+     lambda: q_derivative(EXP, Scalar.floating(1e-200), QContext.floating(1e-200), order=2),
+     OriginDerivativeError,
+     "a float q-difference quotient at x = 1e-200 divides by a product that underflows to 0"),
     ("jackson-zero-tol", lambda: jackson_series(EXP.float_fn(), F, tol=0.0),
      DomainError, "Jackson tolerance must be positive"),
     ("jackson-exact", lambda: jackson_series(EXP.float_fn(), E),
@@ -137,10 +153,22 @@ REFUSALS = [
      DomainError, "need at least two n values for a slope"),
     ("slope-vanished", lambda: decay_slope(1, Scalar.exact(64, 91), QSequence.power_decay(2), [2, 4]),
      DomainError, "central moment vanished at n=2; slope undefined"),
-    ("q-sequence-stuck", lambda: QSequence("stuck", lambda n, b: Scalar.exact(1)).value(4),
+    ("q-sequence-stuck", lambda: QSequence("stuck", lambda n: Fraction(1), float, 1).value(4),
      DomainError, "q sequence left (0, 1) at n=4: 1"),
+    ("q-sequence-irrational", lambda: QSequence.one_minus_inv_sqrt_n().value(4),
+     BackendMismatchError, "q_n of one-minus-inv-sqrt-n is irrational; use the float backend"),
+    ("stancu-point-overflow",
+     lambda: scaled_deviation_at(
+         OperatorSpec(4, QContext.floating(0.75), Scalar.floating(0.0), Scalar.floating(1e308)),
+         P_FLOAT, Scalar.floating(0.3)),
+     DomainError, f"float Stancu point {FLOAT_RANGE}"),
     ("q-taylor-t2", lambda: q_taylor_remainder(P, X, Scalar.exact(2), E),
      DomainError, "t must lie in [0, 1]"),
+    # (t - x)(t - qx) is about 4e-330, below the smallest subnormal
+    ("q-taylor-underflow",
+     lambda: q_taylor_remainder(P_FLOAT, Scalar.floating(1e-300), Scalar.floating(2e-165), F),
+     SingularRemainderError,
+     "theta_q is singular at a (t-x)(t-qx) that underflows to 0 (t=2e-165, x=1e-300, q=0.5)"),
 ]
 
 # None for both parameters is the plain operator, which no Stancu moment function takes
