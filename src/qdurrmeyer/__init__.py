@@ -5,6 +5,9 @@ Stancu generalization, and the classical q = 1 operator; cross-verifies
 every closed-form moment identity against independent routes (kernel sums,
 a moment recurrence, product expansions); and tabulates the
 Voronovskaja-type scaled deviations against their second-order limits.
+
+`build_report` resolves lazily: the invariant suite in `verify` is imported
+on first access, so `import qdurrmeyer` and every CLI command but `verify` leave it unloaded.
 """
 
 from .errors import (
@@ -52,7 +55,6 @@ from .asymptotics import (
     voronovskaja_lhs,
     voronovskaja_rhs,
 )
-from .verify import build_report
 
 __version__ = "0.1.0"
 
@@ -95,3 +97,14 @@ __all__ = [
     "SingularRemainderError",
     "__version__",
 ]
+
+
+def __getattr__(name):
+    if name == "build_report":
+        from .verify import build_report
+        return build_report
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), "build_report"})

@@ -26,7 +26,6 @@ for quadratics and on the diagonal t = x, and is singular at t = qx.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -34,7 +33,7 @@ from .errors import BackendMismatchError, DomainError, SingularRemainderError
 from .moments import central_moment, scaled_deviation_at
 from .operators import OperatorSpec, check_stancu_parameters, durrmeyer_apply_fn
 from .polyalg import Polynomial
-from .qcore import Backend, FunctionSpec, QContext, Scalar, q_derivative
+from .qcore import Backend, FunctionSpec, QContext, Scalar, _Frozen, q_derivative
 
 __all__ = [
     "QSequence",
@@ -48,8 +47,7 @@ __all__ = [
     "decay_slope",
 ]
 
-@dataclass(frozen=True)
-class QSequence:
+class QSequence(_Frozen):
     """A declared sequence q_n -> 1.
 
     `exact` maps n to q_n as a Fraction, or is None when q_n is irrational;
@@ -57,10 +55,11 @@ class QSequence:
     first-order coefficient of the limit.
     """
 
-    label: str
-    exact: Callable[[int], Fraction] | None
-    floating: Callable[[int], float]
-    a: float
+    __slots__ = ("label", "exact", "floating", "a")
+
+    def __init__(self, label: str, exact: Callable[[int], Fraction] | None,
+                 floating: Callable[[int], float], a: float):
+        super().__init__(label, exact, floating, a)
 
     @classmethod
     def one_minus_inv_n(cls) -> "QSequence":
@@ -90,21 +89,17 @@ class QSequence:
         return q
 
 
-@dataclass
 class ConvergenceRow:
     """One table row; abs_err is |lhs - rhs_limit|, formed once at construction."""
 
-    n: int
-    q_n: Scalar
-    lhs: Scalar | None
-    rhs_limit: Scalar | None
-    error: str | None = None
-    err_decreased: bool | None = None
-    abs_err: Scalar | None = field(init=False)
+    __slots__ = ("n", "q_n", "lhs", "rhs_limit", "error", "err_decreased", "abs_err")
 
-    def __post_init__(self):
-        missing = self.lhs is None or self.rhs_limit is None
-        self.abs_err = None if missing else abs(self.lhs - self.rhs_limit)
+    def __init__(self, n: int, q_n: Scalar, lhs: Scalar | None, rhs_limit: Scalar | None,
+                 error: str | None = None, err_decreased: bool | None = None):
+        self.n, self.q_n, self.lhs, self.rhs_limit = n, q_n, lhs, rhs_limit
+        self.error, self.err_decreased = error, err_decreased
+        missing = lhs is None or rhs_limit is None
+        self.abs_err = None if missing else abs(lhs - rhs_limit)
 
 
 def _err_not_above(a: Scalar, b: Scalar) -> bool:

@@ -15,10 +15,8 @@ from __future__ import annotations
 import argparse
 import decimal
 import functools
-import json
 import math
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
@@ -32,7 +30,6 @@ from .errors import DomainError, SingularRemainderError
 from .moments import central_routes, raw_routes, stancu_routes, stated_stancu_moment
 from .polyalg import Polynomial
 from .qcore import BUILTIN_NAMES, Backend, FunctionSpec, QContext, Scalar
-from .verify import build_report
 
 __all__ = ["main", "FUNCTION_NAMES", "build_function"]
 
@@ -189,15 +186,15 @@ def _polys_agree(a, b, backend: Backend, tol: float) -> bool:
     )
 
 
-@dataclass
 class RunConfig:
     """Validated options for one command invocation."""
 
-    command: str
-    backend: Backend
-    fmt: str
-    out: str | None
-    options: dict = field(default_factory=dict)
+    __slots__ = ("command", "backend", "fmt", "out", "options")
+
+    def __init__(self, command: str, backend: Backend, fmt: str, out: str | None,
+                 options: dict | None = None):
+        self.command, self.backend, self.fmt, self.out = command, backend, fmt, out
+        self.options = {} if options is None else options
 
     def dump(self) -> dict:
         flat = {"command": self.command, "backend": self.backend.value, "format": self.fmt}
@@ -235,6 +232,7 @@ def _write(cfg: RunConfig, text: str) -> None:
 
 
 def _json_text(payload: dict) -> str:
+    import json  # only JSON output needs it
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
@@ -371,6 +369,7 @@ def _cmd_remainder(cfg: RunConfig) -> int:
 
 
 def _cmd_verify(cfg: RunConfig) -> int:
+    from .verify import build_report  # the suite loads only when it runs
     report = build_report(n_max=cfg.options["n_max"])
     report["config"].update({"command": "verify", "format": "json"})
     _write(cfg, _json_text(report))

@@ -46,13 +46,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import BackendMismatchError, DomainError
 from .operators import OperatorSpec, check_stancu_parameters, durrmeyer_apply_poly
 from .polyalg import Polynomial, contract_form
-from .qcore import QContext, Scalar, _memo_on_context
+from .qcore import QContext, Scalar, _Frozen, _memo_on_context
 
 __all__ = [
     "ReportRow",
@@ -572,14 +571,14 @@ def stated_stancu_central_moment(
 # -- transcription audit ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ReportRow:
+class ReportRow(_Frozen):
     """One row of the `verify` report: a mandatory check, or an informational audit entry."""
 
-    key: str
-    status: str  # "pass" / "fail" when mandatory, "match" / "mismatch-documented" for the audit
-    mandatory: bool
-    witness: str | None = None
+    # status: "pass" / "fail" when mandatory, "match" / "mismatch-documented" for the audit
+    __slots__ = ("key", "status", "mandatory", "witness")
+
+    def __init__(self, key: str, status: str, mandatory: bool, witness: str | None = None):
+        super().__init__(key, status, mandatory, witness)
 
     @classmethod
     def first_failure(cls, key: str, cases, mandatory: bool) -> ReportRow:

@@ -33,12 +33,12 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BackendMismatchError, DomainError, JacksonTruncationError
 from .polyalg import Polynomial
-from .qcore import Backend, FunctionSpec, QContext, Scalar, _memo_on_context, jackson_series, q_beta
+from .qcore import (Backend, FunctionSpec, QContext, Scalar, _Frozen, _memo_on_context,
+                    jackson_series, q_beta)
 
 __all__ = [
     "OperatorSpec",
@@ -63,19 +63,16 @@ def check_stancu_parameters(alpha: Scalar | None, beta: Scalar | None, backend: 
         raise DomainError("stancu parameters need 0 <= alpha <= beta")
 
 
-@dataclass(frozen=True)
-class OperatorSpec:
+class OperatorSpec(_Frozen):
     """Degree n and deformation context; alpha and beta, if given, make it Stancu."""
 
-    n: int
-    ctx: QContext
-    alpha: Scalar | None = None
-    beta: Scalar | None = None
+    __slots__ = ("n", "ctx", "alpha", "beta")
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(self, n: int, ctx: QContext, alpha: Scalar | None = None, beta: Scalar | None = None):
+        if n < 1:
             raise DomainError("operator degree n must be >= 1")
-        check_stancu_parameters(self.alpha, self.beta, self.ctx.backend)
+        check_stancu_parameters(alpha, beta, ctx.backend)
+        super().__init__(n, ctx, alpha, beta)
 
 
 def _check_point(x: Scalar, ctx: QContext):

@@ -59,7 +59,20 @@ class Backend(Enum):
     FLOAT = "float"
 
 
-class Scalar:
+class _Frozen:
+    """Base of the immutable value types: assignment raises; `__init__` fills the slots in order."""
+
+    __slots__ = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, val):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class Scalar(_Frozen):
     """A number tagged with its arithmetic backend.
 
     Exact scalars wrap `fractions.Fraction`; float scalars wrap a binary
@@ -81,9 +94,6 @@ class Scalar:
             raise TypeError(f"unknown backend {backend!r}")
         object.__setattr__(self, "value", value)
         object.__setattr__(self, "backend", backend)
-
-    def __setattr__(self, name, val):
-        raise AttributeError("Scalar is immutable")
 
     # -- construction -----------------------------------------------------
 
@@ -244,7 +254,7 @@ class Scalar:
         return str(self.value)
 
 
-class QContext:
+class QContext(_Frozen):
     """The deformation parameter q plus the caches that depend on it.
 
     Requires 0 < q < 1 strictly.  Contexts are immutable after construction
@@ -266,18 +276,9 @@ class QContext:
             raise TypeError("q must be a Scalar")
         if not (0 < q.value < 1):
             raise DomainError("q must satisfy 0 < q < 1")
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "backend", q.backend)
-        object.__setattr__(self, "memo", {})
         one = Scalar.one(q.backend)
-        object.__setattr__(self, "_qint", {0: Scalar.zero(q.backend), 1: one})
-        object.__setattr__(self, "_qnum", {})
-        object.__setattr__(self, "_qfact", [one, one])
-        object.__setattr__(self, "_qbinom", {})
-        object.__setattr__(self, "_qpow", [one, q])
-
-    def __setattr__(self, name, val):
-        raise AttributeError("QContext is immutable")
+        super().__init__(q, q.backend, {}, {0: Scalar.zero(q.backend), 1: one}, {}, [one, one], {},
+                         [one, q])
 
     @classmethod
     def exact(cls, numerator, denominator=1) -> "QContext":
@@ -452,7 +453,7 @@ _BUILTINS: Mapping[str, tuple] = {
 BUILTIN_NAMES = tuple(sorted(_BUILTINS))
 
 
-class FunctionSpec:
+class FunctionSpec(_Frozen):
     """A black-box test function on [0, 1]: a named builtin or a tabulation.
 
     Builtins evaluate through float math and therefore demand the float
@@ -468,12 +469,7 @@ class FunctionSpec:
     TABULATED = "tabulated"
 
     def __init__(self, kind, name=None, table=None):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "table", table)
-
-    def __setattr__(self, name, val):
-        raise AttributeError("FunctionSpec is immutable")
+        super().__init__(kind, name, table)
 
     @classmethod
     def builtin(cls, name: str) -> "FunctionSpec":

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from qdurrmeyer import (
     Backend,
     BackendMismatchError,
+    ConvergenceRow,
     DomainError,
     FunctionSpec,
     OperatorSpec,
@@ -40,6 +41,13 @@ class TestQSequence:
         seq = QSequence.one_minus_inv_n()
         assert seq.value(8) == Fraction(7, 8)
         assert float(seq.value(8, Backend.FLOAT)) == 1 - 1 / 8
+
+    def test_fields_refuse_assignment(self):
+        seq = QSequence.one_minus_inv_n()
+        for name in ("label", "exact", "floating", "a"):
+            with pytest.raises(AttributeError):
+                setattr(seq, name, None)
+        assert seq.label == "one-minus-inv-n" and seq.value(8) == Fraction(7, 8)
 
     def test_sqrt_needs_float(self):
         seq = QSequence.one_minus_inv_sqrt_n()
@@ -182,6 +190,13 @@ class TestConvergenceTable:
         seq = QSequence.one_minus_inv_n()
         row = convergence_table(T2, X03, seq, [8])[0]
         assert row.abs_err == abs(row.lhs - row.rhs_limit)
+
+    def test_abs_err_is_formed_at_construction(self):
+        q, lhs, rhs = Scalar.exact(7, 8), Scalar.exact(1, 3), Scalar.exact(3, 4)
+        row = ConvergenceRow(8, q, lhs, rhs)
+        assert row.abs_err == Fraction(5, 12) and row.error is None and row.err_decreased is None
+        assert ConvergenceRow(8, q, None, rhs, error="boom").abs_err is None
+        assert ConvergenceRow(8, q, lhs, None).abs_err is None
 
     def test_symmetry_point_has_zero_target(self, ctx_half):
         f = Polynomial.monomial(1, Backend.EXACT)

@@ -9,8 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from qdurrmeyer import Polynomial, Scalar, build_report, moments
+from qdurrmeyer import Backend, Polynomial, Scalar, build_report, moments
 from qdurrmeyer.cli import (
+    RunConfig,
     _DECIMAL_BITS,
     _DECIMAL_LEAF_BITS,
     _Q_SEQUENCES,
@@ -94,6 +95,12 @@ class TestParser:
         # an error leaves no state behind: the defaults come back on the next call
         assert run(capsys, "moments", "--n", "2", "--q", "1/2") == (0, want, "")
         assert _build_parser.cache_info().currsize == 1
+
+    def test_each_config_owns_its_options(self):
+        first, second = (RunConfig("verify", Backend.EXACT, "json", None) for _ in range(2))
+        first.options["n_max"] = 3
+        assert second.options == {}
+        assert first.dump() == {"command": "verify", "backend": "exact", "format": "json", "n_max": 3}
 
 
 class TestCentralAndStancuCommands:

@@ -28,11 +28,11 @@ from conftest import Q_GRID, X_GRID_16
 
 class TestOperatorSpec:
     def test_validation(self, ctx_half):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=r"^operator degree n must be >= 1$"):
             OperatorSpec(0, ctx_half)
         with pytest.raises(DomainError):
             OperatorSpec(2, ctx_half, Scalar.exact(3), Scalar.exact(1))
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=r"^stancu parameters alpha and beta come together$"):
             OperatorSpec(2, ctx_half, alpha=Scalar.exact(1))
         with pytest.raises(DomainError):
             OperatorSpec(2, ctx_half, beta=Scalar.exact(1))
@@ -40,6 +40,13 @@ class TestOperatorSpec:
     def test_stancu_accepts_boundary(self, ctx_half):
         OperatorSpec(2, ctx_half, Scalar.exact(0), Scalar.exact(0))
         OperatorSpec(2, ctx_half, Scalar.exact(2), Scalar.exact(2))
+
+    def test_fields_refuse_assignment(self, ctx_half):
+        spec = OperatorSpec(2, ctx_half, Scalar.exact(1), Scalar.exact(2))
+        for name in ("n", "ctx", "alpha", "beta"):
+            with pytest.raises(AttributeError):
+                setattr(spec, name, None)
+        assert (spec.n, spec.ctx, spec.alpha, spec.beta) == (2, ctx_half, 1, 2)
 
 
 class TestBernsteinBasis:

@@ -6,6 +6,7 @@ import pytest
 
 from qdurrmeyer import Backend, Polynomial, QContext, Scalar, build_report, verify
 from qdurrmeyer.errors import SingularRemainderError
+from qdurrmeyer.moments import ReportRow
 
 ONE = Scalar.exact(1)
 POLY_ONE = Polynomial.one(Backend.EXACT)
@@ -126,3 +127,12 @@ def test_a_broken_case_fails_its_entry(monkeypatch, entry, owner, name, perturb,
     row = {r["name"]: r for r in report["rows"]}[entry]
     assert (row["status"], row.get("witness")) == ("fail", witness)
     assert report["verdict"] == "fail"
+
+
+def test_report_row_fields_refuse_assignment():
+    row = ReportRow.first_failure("entry", [("a", True), ("b", False), ("c", False)], mandatory=True)
+    for name in ("key", "status", "mandatory", "witness"):
+        with pytest.raises(AttributeError):
+            setattr(row, name, None)
+    assert row.as_dict() == {"name": "entry", "status": "fail", "mandatory": True, "witness": "b"}
+    assert ReportRow("audit", "match", False).witness is None
